@@ -300,8 +300,7 @@ void BatchServer::AnswerCluster(const std::vector<BatchQuery>& queries,
   }
 
   // Per-query finalization: candidates in ascending rank order become the
-  // reply, then the comparison INN run (never through the pool) and the
-  // ServerStats fold — exactly what the sequential QueryKnn records.
+  // reply, then the ServerStats fold — exactly what QueryKnn records.
   for (uint32_t j = 0; j < m; ++j) {
     PerQuery& p = pq[j];
     std::sort(p.cand.begin(), p.cand.end(), by_rank);
@@ -309,12 +308,7 @@ void BatchServer::AnswerCluster(const std::vector<BatchQuery>& queries,
     for (const rtree::Neighbor& n : p.cand) {
       p.out->neighbors.push_back({n.object.id, n.object.position, n.distance});
     }
-    rtree::BestFirstNnIterator inn(tree, p.in->q, rtree::PruneBounds{}, mode, p.in->k);
-    for (int i = 0; i < p.in->k; ++i) {
-      if (!inn.Next().has_value()) break;
-    }
-    p.out->inn_accesses = inn.accesses();
-    server_->RecordAnsweredQuery(p.out->einn_accesses, p.out->inn_accesses);
+    server_->RecordAnsweredQuery(p.out->einn_accesses);
   }
 
   stats_.queries += m;

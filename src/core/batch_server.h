@@ -107,11 +107,10 @@ class BatchServer {
   /// Clusters `queries` (FormClusters) and answers every cluster with one
   /// shared traversal; `replies[i]` answers `queries[i]`. Singleton clusters
   /// delegate to SpatialServer::QueryKnn. Every answered query is folded
-  /// into the server's ServerStats; shared traversals also run the per-query
-  /// comparison INN pass (never through the buffer pool), exactly like the
-  /// sequential server. `tracer`, when given, receives one server_batch_einn
-  /// span per shared traversal (pages, misses, shared split); `metrics`
-  /// collects per-cluster counters/histograms under "batch/". Pass
+  /// into the server's ServerStats. `tracer`, when given, receives one
+  /// server_batch_einn span per shared traversal (pages, misses, shared
+  /// split); `metrics` collects per-cluster counters/histograms under
+  /// "batch/". Pass
   /// `cluster_sizes` to observe the formed cluster sizes (appended in
   /// cluster order).
   std::vector<ServerReply> AnswerBatch(const std::vector<BatchQuery>& queries,

@@ -100,7 +100,8 @@ RangeOutcome RangeProcessor::Execute(
   ServerReply reply = server_->QueryRange(q, radius, rho);
   std::vector<RankedPoi> fresh = std::move(reply.neighbors);
   outcome.pruned_accesses = reply.einn_accesses;
-  outcome.plain_accesses = reply.inn_accesses;
+  // Comparison run: the same scan without the certain disk, off the pool.
+  PrunedCircleQuery(server_->tree(), q, radius, 0.0, &outcome.plain_accesses);
 
   // Merge: known POIs within rho are complete; known POIs beyond rho may
   // duplicate fresh server results (dedup by id).

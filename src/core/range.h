@@ -41,8 +41,9 @@ struct RangeOutcome {
   /// The locally-certain radius rho (meters) around Q; 0 when nothing was
   /// verifiable. pois within rho came from peers even on the server path.
   double certain_radius = 0.0;
-  /// Pages the server touched (server path only), with and without the
-  /// certain-radius pruning.
+  /// Pages the server's pruned scan touched (server path only), and the
+  /// pages the same scan needs without the certain-radius pruning (a
+  /// comparison the processor measures itself, off the buffer pool).
   rtree::AccessCounter pruned_accesses;
   rtree::AccessCounter plain_accesses;
   int peers_consulted = 0;

@@ -216,10 +216,12 @@ void SennProcessor::Finish(PendingSenn* pending, const ServerReply& reply,
     pending->needs_server = false;
   }
   outcome.einn_accesses = reply.einn_accesses;
-  outcome.inn_accesses = reply.inn_accesses;
+  // The paper's INN comparison (Section 4.4) is measured here, for every
+  // server-answered query, and never on the server's answering path.
+  outcome.inn_accesses = server_->InnBaseline(pending->q, pending->heap_capacity);
   if (span != nullptr) {
-    span->AddArg("einn_pages", reply.einn_accesses.total());
-    span->AddArg("inn_pages", reply.inn_accesses.total());
+    span->AddArg("einn_pages", outcome.einn_accesses.total());
+    span->AddArg("inn_pages", outcome.inn_accesses.total());
     span->AddArg("returned", static_cast<uint64_t>(reply.neighbors.size()));
   }
   std::sort(merged.begin(), merged.end(),

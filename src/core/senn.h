@@ -83,7 +83,9 @@ struct SennOutcome {
   HeapState heap_state = HeapState::kEmpty;
   /// Bounds shipped to the server (empty unless resolution == kServer).
   rtree::PruneBounds bounds;
-  /// Page accesses (valid when the server was contacted).
+  /// Page accesses (valid when the server was contacted): the answering
+  /// EINN traversal's, and the plain INN baseline's for the same query
+  /// (SpatialServer::InnBaseline, the paper's Fig. 17 comparison).
   rtree::AccessCounter einn_accesses;
   rtree::AccessCounter inn_accesses;
   /// Verification work performed (for the ablation benches).
@@ -137,10 +139,11 @@ class SennProcessor {
                       obs::QueryTracer* tracer = nullptr) const;
 
   /// Second half of Execute: merges the server reply into the pending
-  /// outcome (result sort, certified prefix, access counters). `span`, when
-  /// given, receives the server_einn args the sequential path records — pass
-  /// the ScopedSpan bracketing the server contact, or null under a batched
-  /// drain (the batch path emits server_batch_einn spans instead).
+  /// outcome (result sort, certified prefix, access counters) and measures
+  /// the query's INN baseline. `span`, when given, receives the server_einn
+  /// args the sequential path records — pass the ScopedSpan bracketing the
+  /// server contact, or null under a batched drain (the batch path emits
+  /// server_batch_einn spans instead).
   void Finish(PendingSenn* pending, const ServerReply& reply,
               obs::ScopedSpan* span) const;
 

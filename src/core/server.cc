@@ -32,9 +32,8 @@ ServerReply SpatialServer::QueryKnn(geom::Vec2 q, int k, rtree::PruneBounds boun
   if (needed < 0) needed = 0;
 
   {
-    // Answering run: EINN with the client's bounds, through the storage
-    // engine when one is configured. buffer_fetch brackets only this run's
-    // pool activity — the comparison INN below never touches the pool.
+    // EINN with the client's bounds, through the storage engine when one is
+    // configured; buffer_fetch brackets its pool activity.
     obs::ScopedSpan fetch(pager_ != nullptr ? tracer : nullptr, obs::Phase::kBufferFetch);
     const storage::BufferPoolStats before =
         fetch.active() ? pager_->pool().stats() : storage::BufferPoolStats{};
@@ -53,16 +52,7 @@ ServerReply SpatialServer::QueryKnn(geom::Vec2 q, int k, rtree::PruneBounds boun
     }
   }
 
-  // Comparison run: plain INN answering the full k-NN query without help.
-  rtree::BestFirstNnIterator inn(tree_, q, rtree::PruneBounds{}, count_mode_, k);
-  for (int i = 0; i < k; ++i) {
-    if (!inn.Next().has_value()) break;
-  }
-  reply.inn_accesses = inn.accesses();
-
-  ++stats_.queries;
-  stats_.einn += reply.einn_accesses;
-  stats_.inn += reply.inn_accesses;
+  RecordAnsweredQuery(reply.einn_accesses);
   return reply;
 }
 
@@ -163,16 +153,7 @@ ServerReply SpatialServer::QueryKnnWithRegion(geom::Vec2 q, int k, double horizo
     }
   }
 
-  // Baseline: plain best-first kNN for the same k.
-  rtree::BestFirstNnIterator inn(tree_, q, rtree::PruneBounds{}, count_mode_, k);
-  for (int i = 0; i < k; ++i) {
-    if (!inn.Next().has_value()) break;
-  }
-  reply.inn_accesses = inn.accesses();
-
-  ++stats_.queries;
-  stats_.einn += reply.einn_accesses;
-  stats_.inn += reply.inn_accesses;
+  RecordAnsweredQuery(reply.einn_accesses);
   return reply;
 }
 
@@ -180,12 +161,16 @@ ServerReply SpatialServer::QueryRange(geom::Vec2 q, double radius, double inner)
   ServerReply reply;
   reply.neighbors =
       PrunedCircleQuery(tree_, q, radius, inner, &reply.einn_accesses, pager_.get());
-  // Comparison run: the same range scan without the client's certain disk.
-  PrunedCircleQuery(tree_, q, radius, 0.0, &reply.inn_accesses);
-  ++stats_.queries;
-  stats_.einn += reply.einn_accesses;
-  stats_.inn += reply.inn_accesses;
+  RecordAnsweredQuery(reply.einn_accesses);
   return reply;
+}
+
+rtree::AccessCounter SpatialServer::InnBaseline(geom::Vec2 q, int k) const {
+  rtree::BestFirstNnIterator inn(tree_, q, {}, count_mode_, k);
+  for (int i = 0; i < k; ++i) {
+    if (!inn.Next().has_value()) break;
+  }
+  return inn.accesses();
 }
 
 }  // namespace senn::core

@@ -1,15 +1,16 @@
 // The remote spatial database server.
 //
 // Indexes the POI data set with an R*-tree (branching factor 30, as in the
-// paper) and answers kNN queries with the best-first incremental NN
-// algorithm. For every query it runs BOTH
-//   * EINN — the extended algorithm with the client's pruning bounds
-//     (Section 3.3), which produces the answer, and
-//   * INN  — the original algorithm without bounds,
-// recording the node (page) accesses of each, exactly like the paper's
-// server module ("the server module executes both the original INN algorithm
-// and our extended INN algorithm ... to compare the performance improvement
-// with respect to page accesses", Section 4.4).
+// paper) and answers kNN queries with EINN — the best-first incremental NN
+// algorithm extended with the client's pruning bounds (Section 3.3) —
+// recording the node (page) accesses of each answering traversal.
+//
+// The paper's server module also runs the original INN algorithm beside
+// EINN "to compare the performance improvement with respect to page
+// accesses" (Section 4.4). That comparison is an evaluation tool, not part
+// of answering a query, so the server never runs it on its own: the
+// simulator, which measures it, asks for it explicitly through
+// InnBaseline().
 #pragma once
 
 #include <cstdint>
@@ -30,11 +31,10 @@ class QueryTracer;
 
 namespace senn::core {
 
-/// Cumulative server-side counters (the PAR metric inputs).
+/// Cumulative server-side counters of the answering traversals.
 struct ServerStats {
   uint64_t queries = 0;
   rtree::AccessCounter einn;
-  rtree::AccessCounter inn;
 };
 
 /// One server reply.
@@ -45,8 +45,6 @@ struct ServerReply {
   std::vector<RankedPoi> neighbors;
   /// Page accesses of the answering (EINN) run.
   rtree::AccessCounter einn_accesses;
-  /// Page accesses the plain INN run needed for the same query.
-  rtree::AccessCounter inn_accesses;
 
   /// Memberwise (bitwise for distances) equality; the rpc layer's
   /// loopback-determinism tests compare transported replies against the
@@ -61,13 +59,10 @@ class SpatialServer {
   /// paper's branching factor of 30.
   ///
   /// `storage`, when given, puts a paged storage engine (src/storage/)
-  /// under the tree: every ANSWERING traversal (EINN, the pruned range
+  /// under the tree: every answering traversal (EINN, the pruned range
   /// scan) fetches nodes through a buffer pool, so the reply's access
-  /// counters additionally report physical misses. The counterfactual
-  /// comparison runs (plain INN / unpruned range) never touch the pool —
-  /// they are hypothetical work and must neither warm nor thrash the real
-  /// frames — so their miss counters stay zero. Logical access counts are
-  /// identical with and without a pool.
+  /// counters additionally report physical misses. Logical access counts
+  /// are identical with and without a pool.
   explicit SpatialServer(std::vector<Poi> pois,
                          rtree::RStarTree::Options tree_options = DefaultTreeOptions(),
                          rtree::AccessCountMode count_mode = rtree::AccessCountMode::kOnExpand,
@@ -86,7 +81,7 @@ class SpatialServer {
   /// neighbors; pass the number through `already_certified`.
   /// `tracer`, when given and a storage engine is configured, receives one
   /// buffer_fetch span bracketing the answering traversal's pool activity
-  /// (hit/miss/eviction deltas); the comparison run is never traced.
+  /// (hit/miss/eviction deltas).
   ServerReply QueryKnn(geom::Vec2 q, int k, rtree::PruneBounds bounds = {},
                        int already_certified = 0, obs::QueryTracer* tracer = nullptr);
 
@@ -100,7 +95,7 @@ class SpatialServer {
   /// whole subtrees covered by the region (geom::MbrCoveredByDiskUnion).
   /// At most k POIs are returned — enough for the client to merge with its
   /// known set and take the exact top k. `einn_accesses` holds the pruned
-  /// search's pages; `inn_accesses` the plain INN kNN cost for the same k.
+  /// search's pages.
   ServerReply QueryKnnWithRegion(geom::Vec2 q, int k, double horizon,
                                  const std::vector<geom::Circle>& region,
                                  obs::QueryTracer* tracer = nullptr);
@@ -108,9 +103,15 @@ class SpatialServer {
   /// Answers a range query: every POI with inner < distance <= radius,
   /// ascending. `inner` is the client's certain radius (POIs inside it are
   /// already known to the client); subtrees fully inside the inner disk are
-  /// pruned. As with QueryKnn, a comparison run without the inner disk is
-  /// executed and both access counts are recorded.
+  /// pruned.
   ServerReply QueryRange(geom::Vec2 q, double radius, double inner = 0.0);
+
+  /// The paper's comparison run: the page accesses plain INN (no pruning
+  /// bounds) needs to find the k nearest POIs of q. It is hypothetical
+  /// work, so it bypasses the buffer pool (its miss counters stay zero)
+  /// and leaves stats() untouched; the result depends only on the tree, q,
+  /// k and count_mode().
+  rtree::AccessCounter InnBaseline(geom::Vec2 q, int k) const;
 
   size_t poi_count() const { return pois_.size(); }
   const std::vector<Poi>& pois() const { return pois_; }
@@ -127,12 +128,10 @@ class SpatialServer {
   storage::NodePager* mutable_pager() { return pager_.get(); }
   /// Folds one externally-answered query into the cumulative ServerStats —
   /// the batched path answers through its own traversal but must show up in
-  /// the same PAR bookkeeping as QueryKnn-answered queries.
-  void RecordAnsweredQuery(const rtree::AccessCounter& einn,
-                           const rtree::AccessCounter& inn) {
+  /// the same bookkeeping as QueryKnn-answered queries.
+  void RecordAnsweredQuery(const rtree::AccessCounter& einn) {
     ++stats_.queries;
     stats_.einn += einn;
-    stats_.inn += inn;
   }
   void ResetStats() { stats_ = ServerStats{}; }
 

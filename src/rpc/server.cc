@@ -310,8 +310,10 @@ void Server::DispatchReady(Connection* conn) {
 
 bool Server::FlushWrites(Connection* conn) {
   while (conn->out_off < conn->outbuf.size()) {
-    ssize_t w =
-        ::write(conn->fd, conn->outbuf.data() + conn->out_off, conn->outbuf.size() - conn->out_off);
+    // MSG_NOSIGNAL: a peer that closed mid-reply is an EPIPE for this
+    // connection, not a SIGPIPE that kills the whole server.
+    ssize_t w = ::send(conn->fd, conn->outbuf.data() + conn->out_off,
+                       conn->outbuf.size() - conn->out_off, MSG_NOSIGNAL);
     if (w > 0) {
       conn->out_off += static_cast<size_t>(w);
       continue;

@@ -113,13 +113,15 @@ Status TcpClientTransport::Send(const uint8_t* data, size_t n) {
   const int64_t deadline = MonotonicNowMs() + options_.send_timeout_ms;
   size_t off = 0;
   while (off < n) {
-    ssize_t w = ::write(fd_, data + off, n - off);
+    // MSG_NOSIGNAL: a server gone away surfaces as an EPIPE Status, not
+    // as a SIGPIPE that kills the client process.
+    ssize_t w = ::send(fd_, data + off, n - off, MSG_NOSIGNAL);
     if (w > 0) {
       off += static_cast<size_t>(w);
       continue;
     }
     if (w < 0 && errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
-      return Errno("write");
+      return Errno("send");
     }
     int rc = PollUntil(fd_, POLLOUT, deadline);
     if (rc == 0) return Status::OutOfRange("send timed out");

@@ -161,7 +161,6 @@ void EncodeKnnReply(uint64_t request_id, const core::ServerReply& reply,
                     std::vector<uint8_t>* out) {
   std::vector<uint8_t> payload;
   PutCounter(reply.einn_accesses, &payload);
-  PutCounter(reply.inn_accesses, &payload);
   PutU32(static_cast<uint32_t>(reply.neighbors.size()), &payload);
   for (const core::RankedPoi& n : reply.neighbors) {
     PutI64(n.id, &payload);
@@ -217,11 +216,10 @@ Result<KnnRequest> DecodeKnnRequest(const std::vector<uint8_t>& payload) {
 Result<core::ServerReply> DecodeKnnReply(const std::vector<uint8_t>& payload) {
   PayloadReader r(payload);
   core::ServerReply reply;
-  if (!ReadCounter(&r, &reply.einn_accesses) || !ReadCounter(&r, &reply.inn_accesses)) {
+  uint32_t count = 0;
+  if (!ReadCounter(&r, &reply.einn_accesses) || !r.ReadU32(&count)) {
     return Truncated("kKnnReply");
   }
-  uint32_t count = 0;
-  if (!r.ReadU32(&count)) return Truncated("kKnnReply");
   // 32 bytes per neighbor: a count larger than the remaining payload is a
   // corrupt length, not a reason to allocate count entries up front.
   if (static_cast<uint64_t>(count) * 32 != r.remaining()) {
@@ -298,7 +296,9 @@ Status FrameDecoder::Feed(const uint8_t* data, size_t n) {
       return error_;
     }
     if (h.version != kProtocolVersion) {
-      error_ = Status::InvalidArgument("unsupported protocol version");
+      error_ = Status::InvalidArgument("unsupported protocol version " +
+                                       std::to_string(h.version) + " (this peer speaks " +
+                                       std::to_string(kProtocolVersion) + ")");
       return error_;
     }
     if (h.flags != 0) {

@@ -18,9 +18,12 @@
 //   kKnnRequest  — the arguments of core::SpatialServer::QueryKnn: query
 //                  point, k, PruneBounds (presence-flagged lower/upper plus
 //                  the lower_id_cut), already_certified.
-//   kKnnReply    — core::ServerReply: the EINN/INN access counters (miss
-//                  and shared/private-miss accounting included) and the
-//                  ranked neighbor list.
+//   kKnnReply    — core::ServerReply: the answering EINN traversal's
+//                  access counter (miss and shared/private-miss accounting
+//                  included) and the ranked neighbor list. The INN baseline
+//                  is not a server result and is not shipped; version-1
+//                  frames, whose replies carried it as a second counter,
+//                  poison the FrameDecoder like any other version.
 //   kError       — a well-formed error reply: machine code + message. Sent
 //                  instead of a kKnnReply for invalid requests, instead of
 //                  crashing or answering silently-empty.
@@ -49,7 +52,7 @@ namespace senn::rpc {
 
 /// "SNNQ" when read as raw little-endian bytes on the wire.
 inline constexpr uint32_t kMagic = 0x514E4E53u;
-inline constexpr uint8_t kProtocolVersion = 1;
+inline constexpr uint8_t kProtocolVersion = 2;
 /// Fixed frame header size in bytes.
 inline constexpr size_t kHeaderSize = 20;
 /// Default cap on a single frame's payload. Replies carry at most the

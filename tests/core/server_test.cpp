@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "src/common/rng.h"
+#include "src/storage/page.h"
 
 namespace senn::core {
 namespace {
@@ -74,6 +75,7 @@ TEST(SpatialServerTest, EinnNeverAccessesMorePagesThanInn) {
   Rng rng(4);
   std::vector<Poi> pois = RandomPois(3000, &rng);
   SpatialServer server(pois);
+  uint64_t inn_total = 0;
   for (int trial = 0; trial < 50; ++trial) {
     Vec2 q{rng.Uniform(0, 1000), rng.Uniform(0, 1000)};
     std::vector<RankedPoi> want = TrueKnn(pois, q, 12);
@@ -81,9 +83,11 @@ TEST(SpatialServerTest, EinnNeverAccessesMorePagesThanInn) {
     bounds.lower = want[5].distance;
     bounds.upper = want.back().distance;
     ServerReply reply = server.QueryKnn(q, 12, bounds, 6);
-    EXPECT_LE(reply.einn_accesses.total(), reply.inn_accesses.total()) << trial;
+    const rtree::AccessCounter inn = server.InnBaseline(q, 12);
+    EXPECT_LE(reply.einn_accesses.total(), inn.total()) << trial;
+    inn_total += inn.total();
   }
-  EXPECT_LE(server.stats().einn.total(), server.stats().inn.total());
+  EXPECT_LE(server.stats().einn.total(), inn_total);
   EXPECT_EQ(server.stats().queries, 50u);
 }
 
@@ -109,7 +113,47 @@ TEST(SpatialServerTest, ResetStatsClearsCounters) {
   EXPECT_GT(server.stats().queries, 0u);
   server.ResetStats();
   EXPECT_EQ(server.stats().queries, 0u);
-  EXPECT_EQ(server.stats().inn.total(), 0u);
+  EXPECT_EQ(server.stats().einn.total(), 0u);
+}
+
+bool SamePoolStats(const storage::BufferPoolStats& a, const storage::BufferPoolStats& b) {
+  return a.logical == b.logical && a.hits == b.hits && a.misses == b.misses &&
+         a.evictions == b.evictions;
+}
+
+// The INN baseline is hypothetical work: on a paged server it must neither
+// warm nor thrash the pool nor count as a query, and its counts must be the
+// unpaged server's. Bound-free EINN never needs more pages than it.
+TEST(SpatialServerTest, InnBaselineIsPoolNeutralAndMatchesUnpagedServer) {
+  Rng rng(8);
+  std::vector<Poi> pois = RandomPois(3000, &rng);
+  storage::BufferPoolOptions pool;
+  pool.capacity_pages = 8;
+  pool.policy = storage::ReplacementPolicy::kLru;
+  for (rtree::AccessCountMode mode :
+       {rtree::AccessCountMode::kOnExpand, rtree::AccessCountMode::kOnEnqueue}) {
+    SpatialServer paged(pois, SpatialServer::DefaultTreeOptions(), mode, pool);
+    SpatialServer unpaged(pois, SpatialServer::DefaultTreeOptions(), mode);
+    for (int trial = 0; trial < 40; ++trial) {
+      Vec2 q{rng.Uniform(0, 1000), rng.Uniform(0, 1000)};
+      const int k = 1 + static_cast<int>(rng.NextIndex(20));
+      // Answer first so the pool holds this query's pages when the baseline
+      // runs: a baseline that went through the pool would register hits.
+      const ServerReply reply = paged.QueryKnn(q, k);
+      const storage::BufferPoolStats pool_before = paged.pager()->pool().stats();
+      const ServerStats stats_before = paged.stats();
+
+      const rtree::AccessCounter inn = paged.InnBaseline(q, k);
+      EXPECT_TRUE(SamePoolStats(paged.pager()->pool().stats(), pool_before)) << trial;
+      EXPECT_EQ(paged.stats().queries, stats_before.queries) << trial;
+      EXPECT_EQ(paged.stats().einn, stats_before.einn) << trial;
+
+      EXPECT_EQ(inn, unpaged.InnBaseline(q, k)) << trial;
+      EXPECT_EQ(inn.misses(), 0u) << trial;
+      EXPECT_LE(reply.einn_accesses.total(), inn.total()) << trial;
+    }
+    EXPECT_EQ(unpaged.stats().queries, 0u);
+  }
 }
 
 }  // namespace

@@ -46,7 +46,6 @@ core::ServerReply RandomReply(Rng* rng) {
     return c;
   };
   reply.einn_accesses = counter();
-  reply.inn_accesses = counter();
   return reply;
 }
 

@@ -91,7 +91,6 @@ TEST(WireTest, KnnReplyRoundTripsBitwise) {
   reply.neighbors.push_back({42, {1.5, 2.25}, 3.125});
   reply.neighbors.push_back({7, {-0.5, 1e300}, 0.1});  // 0.1 is not exact: bit test
   reply.einn_accesses = {10, 20, 3, 4, 1, 2};
-  reply.inn_accesses = {30, 40, 5, 6, 0, 0};
 
   std::vector<uint8_t> bytes;
   EncodeKnnReply(99, reply, &bytes);
@@ -101,6 +100,43 @@ TEST(WireTest, KnnReplyRoundTripsBitwise) {
   Result<core::ServerReply> decoded = DecodeKnnReply(frame.payload);
   ASSERT_TRUE(decoded.ok()) << decoded.status().message();
   EXPECT_EQ(*decoded, reply);  // memberwise, doubles bitwise
+}
+
+TEST(WireTest, KnnReplyPayloadIsOneCounterPlusNeighbors) {
+  // Version 2: one 48-byte access counter (six u64), a u32 neighbor count,
+  // then 32 bytes (id, x, y, distance) per neighbor.
+  for (size_t n : {0u, 1u, 7u, 32u}) {
+    core::ServerReply reply;
+    for (size_t i = 0; i < n; ++i) {
+      reply.neighbors.push_back({static_cast<int64_t>(i), {1.0 * i, 2.0 * i}, 0.5 * i});
+    }
+    std::vector<uint8_t> bytes;
+    EncodeKnnReply(1, reply, &bytes);
+    EXPECT_EQ(DecodeOne(bytes).payload.size(), 48 + 4 + 32 * n) << n << " neighbors";
+  }
+}
+
+TEST(WireTest, VersionOneFramePoisonsTheDecoder) {
+  // A version-1 peer ships a second access counter in kKnnReply; its frames
+  // must be refused at the header, never misparsed as version-2 payloads.
+  core::ServerReply reply;
+  reply.neighbors.push_back({3, {4, 5}, 6});
+  std::vector<uint8_t> bytes;
+  EncodeKnnReply(8, reply, &bytes);
+  bytes[4] = 1;  // the header's version byte
+  FrameDecoder decoder;
+  Status st = decoder.Feed(bytes.data(), bytes.size());
+  EXPECT_EQ(st.code(), Status::Code::kInvalidArgument);
+  EXPECT_NE(st.message().find("unsupported protocol version 1"), std::string::npos)
+      << st.message();
+  EXPECT_TRUE(decoder.poisoned());
+  EXPECT_EQ(decoder.pending(), 0u);
+  // Poisoned for good: even a valid frame is refused afterwards.
+  std::vector<uint8_t> valid;
+  EncodePing(9, &valid);
+  EXPECT_EQ(decoder.Feed(valid.data(), valid.size()).message(), st.message());
+  Frame frame;
+  EXPECT_FALSE(decoder.Next(&frame));
 }
 
 TEST(WireTest, EmptyReplyRoundTrips) {
