@@ -4,8 +4,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <queue>
+#include <span>
 #include <utility>
 
 #include "src/obs/metrics.h"
@@ -58,29 +58,37 @@ std::vector<std::vector<size_t>> BatchServer::FormClusters(
     const std::vector<BatchQuery>& queries) const {
   // The neighbor_grid tiling idiom, keyed sparsely: queries land in square
   // tiles by floor division, so co-located points share a tile and a point
-  // exactly on a boundary belongs to the higher tile. std::map (never a hash
-  // map) fixes the tile iteration order to (x-tile, y-tile).
-  std::map<std::pair<int64_t, int64_t>, std::vector<size_t>> tiles;
+  // exactly on a boundary belongs to the higher tile. One sort by
+  // (x-tile, y-tile, content, input index) lays the tiles out in tile order,
+  // each tile's members in canonical order; chunking every tile's run by
+  // max_group then yields the clusters.
   const double cell = options_.cluster_cell_m;
+  std::vector<std::pair<int64_t, int64_t>> tile(queries.size());
+  std::vector<size_t> order(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     const geom::Vec2 p = queries[i].q;
-    tiles[{static_cast<int64_t>(std::floor(p.x / cell)),
-           static_cast<int64_t>(std::floor(p.y / cell))}]
-        .push_back(i);
+    tile[i] = {static_cast<int64_t>(std::floor(p.x / cell)),
+               static_cast<int64_t>(std::floor(p.y / cell))};
+    order[i] = i;
   }
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    if (tile[a] != tile[b]) return tile[a] < tile[b];
+    if (ContentBefore(queries[a], queries[b])) return true;
+    if (ContentBefore(queries[b], queries[a])) return false;
+    return a < b;  // content-identical: interchangeable, keep input order
+  });
   std::vector<std::vector<size_t>> clusters;
-  for (auto& [tile, members] : tiles) {
-    std::sort(members.begin(), members.end(), [&](size_t a, size_t b) {
-      if (ContentBefore(queries[a], queries[b])) return true;
-      if (ContentBefore(queries[b], queries[a])) return false;
-      return a < b;  // content-identical: interchangeable, keep input order
-    });
-    for (size_t begin = 0; begin < members.size();
-         begin += static_cast<size_t>(options_.max_group)) {
-      const size_t end =
-          std::min(members.size(), begin + static_cast<size_t>(options_.max_group));
-      clusters.emplace_back(members.begin() + static_cast<ptrdiff_t>(begin),
-                            members.begin() + static_cast<ptrdiff_t>(end));
+  const size_t max_group = static_cast<size_t>(options_.max_group);
+  for (size_t begin = 0; begin < order.size();) {
+    size_t tile_end = begin + 1;
+    while (tile_end < order.size() && tile[order[tile_end]] == tile[order[begin]]) {
+      ++tile_end;
+    }
+    while (begin < tile_end) {
+      const size_t end = std::min(tile_end, begin + max_group);
+      clusters.emplace_back(order.begin() + static_cast<ptrdiff_t>(begin),
+                            order.begin() + static_cast<ptrdiff_t>(end));
+      begin = end;
     }
   }
   return clusters;
@@ -162,29 +170,38 @@ void BatchServer::AnswerCluster(const std::vector<BatchQuery>& queries,
     }
     return upper;
   };
+  // The largest MINDIST this query can still want: its effective upper
+  // bound, tightened to the worst candidate once the candidate heap is full.
+  auto reach = [&](const PerQuery& p) {
+    double limit = eff_upper(p);
+    if (static_cast<int>(p.cand.size()) >= p.needed) {
+      limit = std::min(limit, p.cand.front().distance);
+    }
+    return limit;
+  };
   // The live-query prune rule: a query still wants a node unless the upper
   // bound, downward (MAXDIST < lower) pruning, or its full candidate heap
   // rules the node out. MINDIST == the worst candidate's distance survives
   // the last test: the node may hold a co-distant object with a smaller id.
-  auto wants_node = [&](const PerQuery& p, double mindist, double maxdist) {
+  // MAXDIST only matters under a lower bound, so only then is it computed.
+  auto wants_node = [&](const PerQuery& p, const geom::Mbr& mbr, double mindist) {
     if (p.needed <= 0) return false;
-    if (mindist > eff_upper(p)) return false;
-    if (p.in->bounds.lower.has_value() && maxdist < *p.in->bounds.lower) return false;
-    if (static_cast<int>(p.cand.size()) >= p.needed &&
-        mindist > p.cand.front().distance) {
-      return false;
-    }
-    return true;
+    if (mindist > reach(p)) return false;
+    return !p.in->bounds.lower.has_value() || mbr.MaxDist(p.in->q) >= *p.in->bounds.lower;
   };
 
   // The shared node queue: min-over-wanting-queries MINDIST, equal keys in
   // push order (node identity, i.e. the pointer, never enters the order).
+  // Each item's push-time wanting queries live in `wanted_arena` at
+  // [wanted_begin, wanted_begin + wanted_count), so a queued node costs no
+  // allocation of its own.
   struct NodeItem {
     double key = 0.0;
     uint64_t seq = 0;
     const rtree::RStarTree::Node* node = nullptr;
     geom::Mbr mbr;
-    std::vector<uint32_t> wanted;  // cluster-local indices, push-time
+    uint32_t wanted_begin = 0;
+    uint32_t wanted_count = 0;
   };
   struct NodeGreater {
     bool operator()(const NodeItem& a, const NodeItem& b) const {
@@ -195,7 +212,14 @@ void BatchServer::AnswerCluster(const std::vector<BatchQuery>& queries,
       return a.seq > b.seq;
     }
   };
-  std::priority_queue<NodeItem, std::vector<NodeItem>, NodeGreater> queue;
+  // A binary heap under NodeGreater (the std::priority_queue algorithm,
+  // hence the same pop order), kept as a vector so pops move items out.
+  std::vector<NodeItem> queue;
+  std::vector<uint32_t> wanted_arena;
+  auto wanted_of = [&](const NodeItem& item) {
+    return std::span<const uint32_t>(wanted_arena)
+        .subspan(item.wanted_begin, item.wanted_count);
+  };
   uint64_t push_seq = 0;
 
   rtree::AccessCounter cluster_counter;
@@ -204,13 +228,13 @@ void BatchServer::AnswerCluster(const std::vector<BatchQuery>& queries,
   // queries read it. Per-query misses therefore partition the cluster's
   // unique-page misses.
   auto charge = [&](const rtree::RStarTree::Node* node,
-                    const std::vector<uint32_t>& wanted) {
+                    std::span<const uint32_t> wanted) {
     return rtree::ChargeBatchNodeAccess(node, &pq[wanted.front()].out->einn_accesses,
                                         &cluster_counter, wanted.size() >= 2, pager);
   };
 
   auto expand = [&](const rtree::RStarTree::Node* node,
-                    const std::vector<uint32_t>& wanted) {
+                    std::span<const uint32_t> wanted) {
     for (const rtree::RStarTree::Slot& s : node->slots) {
       if (node->IsLeaf()) {
         for (uint32_t j : wanted) {
@@ -246,51 +270,64 @@ void BatchServer::AnswerCluster(const std::vector<BatchQuery>& queries,
         NodeItem item;
         item.node = s.child.get();
         item.mbr = s.mbr;
+        item.wanted_begin = static_cast<uint32_t>(wanted_arena.size());
         double key = kInf;
         for (uint32_t j : wanted) {
-          PerQuery& p = pq[j];
-          const double mindist = s.mbr.MinDist(p.in->q);
-          if (!wants_node(p, mindist, s.mbr.MaxDist(p.in->q))) continue;
-          item.wanted.push_back(j);
+          const double mindist = s.mbr.MinDist(pq[j].in->q);
+          if (!wants_node(pq[j], s.mbr, mindist)) continue;
+          wanted_arena.push_back(j);
           key = std::min(key, mindist);
         }
-        if (item.wanted.empty()) continue;
+        item.wanted_count = static_cast<uint32_t>(wanted_arena.size()) - item.wanted_begin;
+        if (item.wanted_count == 0) continue;
         item.key = key;
         item.seq = push_seq++;
         if (mode == rtree::AccessCountMode::kOnEnqueue) {
           // Enqueue accounting fetches the child as it enters the queue;
           // the pin is transient (expansion reads the queued copy).
-          if (charge(item.node, item.wanted)) pager->Unpin(item.node);
+          if (charge(item.node, wanted_of(item))) pager->Unpin(item.node);
         }
-        queue.push(std::move(item));
+        queue.push_back(item);
+        std::push_heap(queue.begin(), queue.end(), NodeGreater{});
       }
     }
   };
 
+  // One buffer for the wanting queries of the node being expanded (`wanted`
+  // of expand never aliases the arena, which expand appends to).
+  std::vector<uint32_t> live(m);
+  for (uint32_t j = 0; j < m; ++j) live[j] = j;
   // The root is always fetched once for the cluster, in both accounting
   // modes — the batch mirror of the sequential constructor's root charge.
   {
-    std::vector<uint32_t> all(m);
-    for (uint32_t j = 0; j < m; ++j) all[j] = j;
-    const bool pinned = charge(tree.root(), all);
-    expand(tree.root(), all);
+    const bool pinned = charge(tree.root(), live);
+    expand(tree.root(), live);
     if (pinned) pager->Unpin(tree.root());
   }
 
   while (!queue.empty()) {
-    NodeItem item = queue.top();
-    queue.pop();
+    // Early stop: keys pop in non-decreasing order and every query's reach
+    // only shrinks, so once the front key exceeds the largest reach of any
+    // query still short of answers, no queued node will ever be wanted. The
+    // nodes left behind are exactly the dead pops of a full drain, which
+    // charge nothing (expand accounting) or were charged at push (enqueue
+    // accounting), so stopping moves no counter.
+    double max_reach = -kInf;
+    for (const PerQuery& p : pq) {
+      if (p.needed > 0) max_reach = std::max(max_reach, reach(p));
+    }
+    if (queue.front().key > max_reach) break;
+
+    std::pop_heap(queue.begin(), queue.end(), NodeGreater{});
+    const NodeItem item = queue.back();
+    queue.pop_back();
     // Pop-time re-check against the tightened per-query state: a node every
     // pushing query has since pruned is skipped — without a fetch in expand
     // accounting (enqueue accounting already charged it, like the
     // sequential iterator charges queued-but-prunable nodes).
-    std::vector<uint32_t> live;
-    live.reserve(item.wanted.size());
-    for (uint32_t j : item.wanted) {
-      const PerQuery& p = pq[j];
-      if (wants_node(p, item.mbr.MinDist(p.in->q), item.mbr.MaxDist(p.in->q))) {
-        live.push_back(j);
-      }
+    live.clear();
+    for (uint32_t j : wanted_of(item)) {
+      if (wants_node(pq[j], item.mbr, item.mbr.MinDist(pq[j].in->q))) live.push_back(j);
     }
     if (live.empty()) continue;
     bool pinned = false;

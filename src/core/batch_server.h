@@ -25,7 +25,22 @@
 //    charged once (rtree::ChargeBatchNodeAccess), attributed to the first
 //    wanting query in cluster order and classified shared/private in the
 //    cluster counter, so per-query miss counts sum exactly to the shared
-//    traversal's unique-page count.
+//    traversal's unique-page count;
+//  * early stop: a query's REACH is its effective upper bound, tightened to
+//    its worst candidate once its candidate heap is full. Before each pop
+//    the traversal ends if the front key exceeds the largest reach over
+//    the queries still short of answers. Keys pop in non-decreasing order
+//    and every reach only shrinks, so no queued node could be wanted
+//    again: the nodes left behind are the dead pops of a full drain, which
+//    charge nothing (expand accounting) or were charged at push (enqueue
+//    accounting);
+//  * layout: the queue is a vector binary heap (push_heap/pop_heap under
+//    the same order as std::priority_queue, so the pop order is the same)
+//    of small fixed-size items. Each item's push-time wanting queries live
+//    in one per-cluster arena of cluster-local indices, referenced by
+//    (offset, count), and one reused buffer holds the pop-time live list,
+//    so queuing a node allocates nothing of its own. MAXDIST is computed
+//    only for queries that carry a lower bound.
 //
 // Equivalence contract (enforced by tests/core/batch_diff_test.cpp, not by
 // inspection): for system-consistent inputs — bounds computed by

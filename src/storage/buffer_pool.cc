@@ -71,6 +71,13 @@ void BufferPool::Unpin(PageId id) {
   if (frame.pins > 0) frame.pins -= 1;
 }
 
+void BufferPool::UnpinIfPinned(PageId id) {
+  auto it = table_.find(id);
+  if (it == table_.end()) return;
+  Frame& frame = *frames_[it->second];
+  if (frame.pins > 0) frame.pins -= 1;
+}
+
 uint32_t BufferPool::PinCount(PageId id) const {
   auto it = table_.find(id);
   return it == table_.end() ? 0 : frames_[it->second]->pins;

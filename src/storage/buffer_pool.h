@@ -50,6 +50,10 @@ class BufferPool {
 
   /// Releases one pin of a resident page. Fetch/Unpin calls must pair.
   void Unpin(PageId id);
+  /// Releases one pin of `id` if it holds one; a page that is unpinned or
+  /// not resident is left alone. One table lookup (Unpin's pairing checks
+  /// do not apply: the caller tolerates a fetch that never pinned).
+  void UnpinIfPinned(PageId id);
 
   bool Resident(PageId id) const { return table_.find(id) != table_.end(); }
   /// Pin count of a page (0 when unpinned or not resident).

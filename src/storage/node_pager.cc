@@ -97,8 +97,7 @@ bool NodePager::Fetch(const rtree::RStarTree::Node* node) {
 }
 
 void NodePager::Unpin(const rtree::RStarTree::Node* node) {
-  const PageId id = PageOf(node);
-  if (pool_.PinCount(id) > 0) pool_.Unpin(id);
+  pool_.UnpinIfPinned(PageOf(node));
 }
 
 void NodePager::Materialize(const rtree::RStarTree::Node* node, Page* page) {

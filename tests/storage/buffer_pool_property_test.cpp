@@ -309,5 +309,24 @@ TEST(BufferPoolPropertyTest, ResetStatsKeepsResidency) {
   pool.Unpin(2);
 }
 
+TEST(BufferPoolPropertyTest, UnpinIfPinnedReleasesOnlyAHeldPin) {
+  BufferPoolOptions options;
+  options.capacity_pages = 2;
+  BufferPool pool(options);
+  pool.UnpinIfPinned(7);  // never fetched: a no-op, nothing becomes resident
+  EXPECT_FALSE(pool.Resident(7));
+  ASSERT_NE(pool.Fetch(1).page, nullptr);
+  ASSERT_NE(pool.Fetch(1).page, nullptr);
+  EXPECT_EQ(pool.PinCount(1), 2u);
+  pool.UnpinIfPinned(1);
+  EXPECT_EQ(pool.PinCount(1), 1u);
+  pool.UnpinIfPinned(1);
+  EXPECT_EQ(pool.PinCount(1), 0u);
+  pool.UnpinIfPinned(1);  // resident but unpinned: stays resident at zero pins
+  EXPECT_EQ(pool.PinCount(1), 0u);
+  EXPECT_TRUE(pool.Resident(1));
+  EXPECT_EQ(pool.stats().logical, 2u);  // releasing pins is not an access
+}
+
 }  // namespace
 }  // namespace senn::storage
