@@ -13,7 +13,7 @@
 //
 // SendKnn only buffers; Flush pushes the encoded bytes to the transport in
 // one Send (one syscall on TCP — the burst arrives together, which is what
-// lets the server's network thread hand it to the engine as one group).
+// lets the server's event loop hand it to the engine as one group).
 // Wait pumps the transport until the awaited request id's reply arrives,
 // parking replies that belong to other in-flight ids; waiting in any order
 // works, send order is cheapest (the server answers FIFO per connection).

@@ -5,9 +5,9 @@
 // socket, but WITH the full wire path: Send() runs the server-side frame
 // decoder over the exact bytes the client encoded, and the first Receive()
 // after a burst dispatches everything decoded so far as ONE group through
-// QueryService::AnswerGroup — precisely the accumulate-while-busy batching
-// discipline of the TCP server's network thread, made synchronous and
-// deterministic. Replies come back as encoded bytes the client's own
+// QueryService::AnswerGroup — precisely how the TCP server's event loop
+// answers everything one read of a connection decoded, made synchronous
+// and deterministic. Replies come back as encoded bytes the client's own
 // decoder parses.
 //
 // Consequences the simulator relies on (--server-transport loopback):

@@ -1,41 +1,37 @@
-// The standalone kNN query server runtime: one network thread, a worker
-// pool, pipelined framing, batched dispatch.
+// The standalone kNN query server runtime: `worker_threads` identical
+// event loops, pipelined framing, batched dispatch.
 //
-// The thread split follows tarantool's iproto (src/box/iproto.cc): a
-// single NETWORK thread owns every socket — it accepts connections, reads
-// bytes into each connection's FrameDecoder, and writes reply bytes back —
-// while WORKER threads own the query engine work. The two meet at a
-// dispatch queue of request GROUPS:
+// Every loop polls the shared listening socket and the stop pipe, and owns
+// the connections it accepts; no socket, buffer or request ever crosses
+// threads. When a loop reads a connection, it decodes every complete frame
+// into the connection's backlog and answers the whole backlog inline as
+// one dispatch GROUP through QueryService::AnswerGroup (one
+// core::BatchServer call, so co-located queries share EINN traversals),
+// then writes the reply bytes. A pipelined burst that arrives in one read
+// is therefore one group, and since a connection is only read after its
+// previous group was answered, replies come back in FIFO order per
+// connection by construction.
 //
-//   * while a connection has a group in flight, newly decoded requests
-//     accumulate on the connection (this is where pipelining pays: the
-//     backlog a busy engine creates is exactly the burst the next group
-//     batches);
-//   * when the connection is idle, its whole backlog becomes one group,
-//     handed to a worker that answers it through QueryService::AnswerGroup
-//     — one core::BatchServer call, co-located queries sharing EINN
-//     traversals;
-//   * the worker pushes the encoded reply bytes to a completion queue and
-//     wakes the network thread through a pipe; the network thread writes
-//     them and dispatches the connection's next group.
+// The engine is serialized by QueryService's lock, so loops answering
+// groups at the same time queue there. Admission control counts those
+// requests: when the server-wide count of requests being answered or
+// waiting for the engine lock would exceed `max_inflight_requests`, the
+// burst is load-shed with kOverloaded error replies (counted as rpc/shed in
+// the metrics registry) instead of queueing without bound.
 //
-// One group in flight per connection gives per-connection FIFO replies for
-// free and keeps a slow connection from flooding the queue; admission
-// control sits at dispatch: when the server-wide in-flight request count
-// would exceed `max_inflight_requests`, the burst is load-shed with
-// kOverloaded error replies (counted as rpc/shed in the metrics registry)
-// instead of queueing without bound.
+// Read-side backpressure bounds the bytes a connection can pin: one pass
+// reads at most 64 KiB of request bytes, and a connection with more than
+// 1 MiB of unsent reply bytes is not read again until the peer drains
+// them.
 //
 // Framing errors are fail-stop per connection: the decoded-so-far requests
 // are still answered, a kError frame describes the corruption, and the
 // connection closes once its replies are flushed.
+// A peer that shuts down its sending side is closed at once, unanswered.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -58,16 +54,20 @@ struct ServerOptions {
   std::string bind_address = "127.0.0.1";
   /// 0 picks an ephemeral port (read it back via port() after Start()).
   uint16_t port = 0;
+  /// Event-loop threads; each accepts, reads, answers and writes its own
+  /// connections.
   int worker_threads = 2;
   /// Dispatch/batching knobs (QueryService).
   ServiceOptions service;
   /// Frame size cap applied per connection.
   size_t max_payload = kDefaultMaxPayload;
-  /// Admission control: server-wide in-flight request cap; a dispatch that
-  /// would exceed it is load-shed with kOverloaded replies. 0 disables.
+  /// Admission control: server-wide cap on requests being answered or
+  /// waiting for the engine lock; a group that would exceed it is load-shed
+  /// with kOverloaded replies. 0 disables.
   size_t max_inflight_requests = 4096;
-  /// Listen backlog.
-  int listen_backlog = 64;
+  /// Listen backlog. While every loop is answering a group, nobody
+  /// accepts, so the queue must absorb a burst of connects.
+  int listen_backlog = 1024;
 };
 
 /// Snapshot of the server-level counters (the per-connection and engine
@@ -94,9 +94,9 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, listens, and spawns the network + worker threads.
+  /// Binds, listens, and spawns the event loops.
   Status Start();
-  /// Stops the threads and closes every socket. Idempotent.
+  /// Stops the loops and closes every socket. Idempotent.
   void Stop();
 
   /// The bound port (valid after a successful Start()).
@@ -107,44 +107,32 @@ class Server {
  private:
   struct Connection {
     int fd = -1;
-    uint64_t id = 0;
     FrameDecoder decoder;
-    /// Decoded requests awaiting dispatch.
+    /// Decoded requests awaiting the next group.
     std::vector<Frame> backlog;
     /// Reply bytes awaiting the socket.
     std::vector<uint8_t> outbuf;
     size_t out_off = 0;
-    bool group_in_flight = false;
-    /// Close once replies are flushed and nothing is in flight.
-    bool close_requested = false;
-    /// The kError frame describing a framing error has been queued.
+    /// The kError frame of a framing error is queued; close once flushed.
     bool error_sent = false;
 
     explicit Connection(size_t max_payload) : decoder(max_payload) {}
   };
-  struct Group {
-    uint64_t conn_id = 0;
-    std::vector<Frame> frames;
-  };
-  struct Completion {
-    uint64_t conn_id = 0;
-    std::vector<uint8_t> bytes;
-    size_t request_count = 0;
-  };
 
-  void NetworkLoop();
-  void WorkerLoop();
-  void WakeNetwork();
-  void AcceptReady();
-  /// Reads everything available; returns false when the connection died.
+  /// Opens the non-blocking listening socket and reads back its port.
+  Status Listen();
+  void EventLoop();
+  void AcceptReady(std::vector<Connection>* conns);
+  /// Reads one buffer of bytes; returns false when the connection died.
   bool HandleReadable(Connection* conn);
+  /// Answers the backlog as one group (or sheds it), then queues the kError
+  /// frame of a framing error.
   void DispatchReady(Connection* conn);
   /// Writes as much of outbuf as the socket takes; returns false when the
-  /// connection should be closed (write error, or drained after a
-  /// requested close).
+  /// connection should be closed (write error, or drained after a framing
+  /// error).
   bool FlushWrites(Connection* conn);
-  void CloseConnection(uint64_t conn_id);
-  void DrainCompletions();
+  void CloseConnection(Connection* conn);
 
   ServerOptions options_;
   QueryService service_;
@@ -155,37 +143,22 @@ class Server {
   std::mutex metrics_mu_;
 
   int listen_fd_ = -1;
-  int wake_fds_[2] = {-1, -1};  // [0] read end (network thread), [1] writers
+  /// Written once by Stop() and never drained, so every loop's poll sees it.
+  int stop_fds_[2] = {-1, -1};
   uint16_t port_ = 0;
   std::atomic<bool> running_{false};
   bool started_ = false;
-  std::thread network_thread_;
-  std::vector<std::thread> workers_;
 
-  // Dispatch queue (network thread -> workers). Lock order (matches
-  // declaration order, enforced by senn_lint L9): a thread holding
-  // work_mu_ may take done_mu_, never the reverse — and neither is ever
-  // held across socket I/O or a page fetch.
-  std::mutex work_mu_;
-  std::condition_variable work_cv_;
-  std::deque<Group> work_ SENN_GUARDED_BY(work_mu_);
-  bool work_stop_ SENN_GUARDED_BY(work_mu_) = false;
-
-  // Completion queue (workers -> network thread).
-  std::mutex done_mu_;
-  std::deque<Completion> done_ SENN_GUARDED_BY(done_mu_);
-
-  // Network-thread-private state.
-  std::map<uint64_t, Connection> conns_;
-  uint64_t next_conn_id_ = 1;
-  size_t inflight_requests_ = 0;
-
+  std::atomic<size_t> inflight_requests_{0};
   std::atomic<uint64_t> accepted_{0};
   std::atomic<uint64_t> closed_{0};
   std::atomic<uint64_t> frames_received_{0};
   std::atomic<uint64_t> groups_dispatched_{0};
   std::atomic<uint64_t> requests_shed_{0};
   std::atomic<uint64_t> framing_errors_{0};
+
+  /// Declared last: the loops use every member above.
+  std::vector<std::thread> loops_;
 };
 
 }  // namespace senn::rpc

@@ -1,13 +1,12 @@
 // Transport-independent dispatch engine of the kNN query server.
 //
-// A `QueryService` is the seam every transport feeds: the TCP server's
-// worker threads and the deterministic loopback transport both hand it one
-// *dispatch group* at a time — the decoded frames a connection had pipelined
-// while the engine was busy — and receive the encoded reply bytes, in
-// request order. One group is answered by ONE core::BatchServer call, so
-// co-located queries inside a pipelined burst share EINN traversals exactly
-// like the simulator's batched drain (PR 6), single-charge miss accounting
-// included.
+// A `QueryService` is the seam every transport feeds: the TCP server's event
+// loops and the deterministic loopback transport both hand it one *dispatch
+// group* at a time — the frames a connection had pipelined by the time it
+// was read — and receive the encoded reply bytes, in request order. One
+// group is answered by ONE core::BatchServer call, so co-located queries
+// inside a pipelined burst share EINN traversals exactly like the
+// simulator's batched drain, single-charge miss accounting included.
 //
 // Protocol-boundary hardening happens here, before anything reaches the
 // engine: undecodable payloads, unsupported opcodes, and semantically
@@ -17,10 +16,11 @@
 //
 // Thread safety: AnswerGroup serializes on an internal mutex (the
 // SpatialServer/BatchServer engine and the buffer pool underneath are
-// single-threaded by contract), so any number of worker threads may call it
-// concurrently. Reply ENCODING for a group also runs under the lock; it is
-// microseconds against the traversal's page work, and keeping it inside
-// makes the metrics registry updates race-free too.
+// single-threaded by contract), so any number of the server's event loops
+// may call it concurrently; a loop whose group waits for the lock serves
+// none of its other connections meanwhile. Reply ENCODING for a group also
+// runs under the lock; it is microseconds against the traversal's page work,
+// and keeping it inside makes the metrics registry updates race-free too.
 #pragma once
 
 #include <cstdint>

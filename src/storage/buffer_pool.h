@@ -5,7 +5,7 @@
 // time per simulation, and the sweep engine isolates whole simulations per
 // worker, so the pool needs no locking (ASan/TSan stages of tools/check.sh
 // run the storage tests to keep this honest). When a multi-threaded caller
-// sits above (the rpc server's worker pool), synchronization is EXTERNAL:
+// sits above (the rpc server's event loops), synchronization is EXTERNAL:
 // rpc::QueryService::mu_ is the documented serialization boundary, and its
 // GUARDED_BY annotations (src/common/thread_annotations.h) plus the
 // senn_lint L9 lock-discipline rule keep every Fetch inside that critical

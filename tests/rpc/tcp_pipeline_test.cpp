@@ -11,10 +11,14 @@
 #include "src/rpc/server.h"
 
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <sys/socket.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <cstring>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -197,6 +201,43 @@ TEST(TcpPipelineTest, MalformedBytesGetErrorReplyThenClose) {
   server.Stop();
 }
 
+TEST(TcpPipelineTest, GarbageOnlyConnectionGetsOneErrorThenClose) {
+  std::vector<core::Poi> pois = WorldPois(100);
+  core::SpatialServer served(pois);
+  Server server(&served, {});
+  ASSERT_TRUE(server.Start().ok());
+
+  auto transport = ConnectTo(server);
+  ASSERT_TRUE(transport.ok());
+  // No valid header at all: nothing to answer, one kError, then the close.
+  const std::vector<uint8_t> bytes(64, 0xEE);
+  ASSERT_TRUE((*transport)->Send(bytes.data(), bytes.size()).ok());
+
+  FrameDecoder decoder;
+  std::vector<Frame> frames;
+  Status st;
+  while (st.ok()) {
+    std::vector<uint8_t> chunk;
+    st = (*transport)->Receive(&chunk);
+    ASSERT_TRUE(decoder.Feed(chunk.data(), chunk.size()).ok());
+    Frame frame;
+    while (decoder.Next(&frame)) frames.push_back(std::move(frame));
+  }
+  EXPECT_EQ(st.code(), Status::Code::kFailedPrecondition) << st.message();
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(frames[0].opcode(), Opcode::kError);
+  EXPECT_EQ(frames[0].header.request_id, 0u);
+  Result<ErrorReply> error = DecodeError(frames[0].payload);
+  ASSERT_TRUE(error.ok());
+  EXPECT_EQ(error->code, ErrorCode::kMalformedFrame);
+  server.Stop();
+  const ServerCounters counters = server.counters();
+  EXPECT_EQ(counters.frames_received, 0u);
+  EXPECT_EQ(counters.groups_dispatched, 0u);
+  EXPECT_EQ(counters.framing_errors, 1u);
+  EXPECT_EQ(server.service().stats().requests, 0u);
+}
+
 TEST(TcpPipelineTest, AdmissionControlShedsWithOverloaded) {
   std::vector<core::Poi> pois = WorldPois(100);
   core::SpatialServer served(pois);
@@ -255,6 +296,37 @@ TEST(TcpPipelineTest, StopWhileClientsConnectedShutsDownCleanly) {
   server.Stop();  // with the connection open
   // A second Stop is a no-op.
   server.Stop();
+}
+
+// Every event loop polls the same stop pipe. If one loop consumed the stop
+// wakeup, the others would sleep in poll() and Stop() would hang.
+TEST(TcpPipelineTest, StopReachesEveryLoop) {
+  constexpr int kClients = 8;
+  std::vector<core::Poi> pois = WorldPois(100);
+  core::SpatialServer oracle(pois);
+  core::SpatialServer served(pois);
+  ServerOptions options;
+  options.worker_threads = 4;
+  Server server(&served, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  std::vector<std::unique_ptr<TcpClientTransport>> transports;
+  for (int c = 0; c < kClients; ++c) {
+    auto transport = ConnectTo(server);
+    ASSERT_TRUE(transport.ok()) << transport.status().message();
+    Client client(transport->get());
+    KnnRequest request;
+    request.q = {100.0 * c, 50.0 * c};
+    request.k = 3;
+    Result<core::ServerReply> reply = client.Knn(request);
+    ASSERT_TRUE(reply.ok()) << reply.status().message();
+    EXPECT_EQ(reply->neighbors, oracle.QueryKnn(request.q, request.k).neighbors) << c;
+    transports.push_back(std::move(*transport));
+  }
+  server.Stop();  // every connection still open
+  const ServerCounters counters = server.counters();
+  EXPECT_EQ(counters.connections_accepted, static_cast<uint64_t>(kClients));
+  EXPECT_EQ(counters.connections_closed, static_cast<uint64_t>(kClients));
 }
 
 // SIGPIPE regression: clients that pipeline a burst and close without
@@ -356,6 +428,91 @@ TEST(TcpPipelineTest, SendingToAStoppedServerFailsWithoutASignal) {
     if (st.ok()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_FALSE(st.ok());
+}
+
+// Read-side backpressure: a client that pipelines requests and never reads
+// its replies must stop being read once its unsent replies pass the
+// server's budget, so its own sends stall after a bounded number of bytes.
+// Without the budget the server reads, answers and buffers without end, and
+// the client reaches kSendCap. The client then reads every reply: each
+// answers its own request, in send order.
+TEST(TcpPipelineTest, ClientThatNeverReadsIsBackpressured) {
+  constexpr int kK = 16;  // about 550 bytes per reply, ten times the request
+  constexpr size_t kSendCap = size_t{8} << 20;
+  constexpr int kStallMs = 500;  // unwritable this long: the server stopped reading
+  std::vector<core::Poi> pois = WorldPois();
+  core::SpatialServer served(pois);
+  Server server(&served, {});
+  ASSERT_TRUE(server.Start().ok());
+  auto transport = ConnectTo(server);
+  ASSERT_TRUE(transport.ok());
+  const int fd = (*transport)->fd();
+  // A small client send buffer keeps the stall point, and the run time,
+  // down to what the server side buffers.
+  const int sndbuf = 64 << 10;
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof(sndbuf)), 0);
+
+  Rng rng = Rng(20060403).Stream("tcp/backpressure");
+  std::vector<geom::Vec2> points;
+  std::vector<uint8_t> pending;  // encoded, not yet sent
+  size_t off = 0;
+  size_t sent = 0;
+  bool stalled = false;
+  while (!stalled && sent < kSendCap) {
+    if (off == pending.size()) {
+      pending.clear();
+      off = 0;
+      for (int i = 0; i < 64; ++i) {
+        KnnRequest request;
+        request.q = {rng.Uniform(0, 1000), rng.Uniform(0, 1000)};
+        request.k = kK;
+        points.push_back(request.q);
+        EncodeKnnRequest(points.size(), request, &pending);
+      }
+    }
+    const ssize_t w = ::send(fd, pending.data() + off, pending.size() - off, MSG_NOSIGNAL);
+    if (w > 0) {
+      off += static_cast<size_t>(w);
+      sent += static_cast<size_t>(w);
+      continue;
+    }
+    ASSERT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK) << std::strerror(errno);
+    struct pollfd pfd = {fd, POLLOUT, 0};
+    stalled = ::poll(&pfd, 1, kStallMs) == 0;
+  }
+  ASSERT_TRUE(stalled) << "sent " << sent << " bytes without the server stopping reading";
+
+  // Read every reply, finishing the partly sent batch as the socket drains.
+  core::SpatialServer oracle(pois);
+  FrameDecoder decoder;
+  std::vector<uint8_t> buf(1 << 16);
+  size_t received = 0;
+  while (received < points.size()) {
+    short events = POLLIN;
+    if (off < pending.size()) events |= POLLOUT;
+    struct pollfd pfd = {fd, events, 0};
+    // Generous: the segments dropped while the server was not reading come
+    // back on TCP's retransmit backoff, which can take seconds.
+    ASSERT_EQ(::poll(&pfd, 1, 30000), 1) << "stuck after " << received << " replies";
+    if (pfd.revents & POLLOUT) {
+      const ssize_t w = ::send(fd, pending.data() + off, pending.size() - off, MSG_NOSIGNAL);
+      if (w > 0) off += static_cast<size_t>(w);
+    }
+    if (!(pfd.revents & POLLIN)) continue;
+    const ssize_t r = ::read(fd, buf.data(), buf.size());
+    ASSERT_GT(r, 0) << "connection lost after " << received << " replies";
+    ASSERT_TRUE(decoder.Feed(buf.data(), static_cast<size_t>(r)).ok());
+    Frame frame;
+    while (decoder.Next(&frame)) {
+      ASSERT_EQ(frame.opcode(), Opcode::kKnnReply);
+      ASSERT_EQ(frame.header.request_id, received + 1);
+      Result<core::ServerReply> reply = DecodeKnnReply(frame.payload);
+      ASSERT_TRUE(reply.ok());
+      EXPECT_EQ(reply->neighbors, oracle.QueryKnn(points[received], kK).neighbors) << received;
+      ++received;
+    }
+  }
+  server.Stop();
 }
 
 }  // namespace

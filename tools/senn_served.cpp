@@ -36,7 +36,7 @@ namespace {
       "usage: %s [options]\n"
       "  --port N               listen port (default 0 = ephemeral, printed)\n"
       "  --bind ADDR            numeric IPv4 bind address (default 127.0.0.1)\n"
-      "  --workers N            worker threads (default 2)\n"
+      "  --workers N            event-loop threads (default 2)\n"
       "  --batch N              answer a pipelined burst in shared EINN\n"
       "                         traversals of <= N co-located queries\n"
       "                         (default 1 = verbatim per-query answering)\n"
