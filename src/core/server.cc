@@ -13,12 +13,14 @@ namespace senn::core {
 SpatialServer::SpatialServer(std::vector<Poi> pois, rtree::RStarTree::Options tree_options,
                              rtree::AccessCountMode count_mode,
                              std::optional<storage::BufferPoolOptions> storage)
-    : pois_(std::move(pois)), tree_(tree_options), count_mode_(count_mode) {
+    : poi_count_(pois.size()), tree_(tree_options), count_mode_(count_mode) {
   // Static POI sets are packed with STR: tighter leaves and much faster
-  // construction than one-at-a-time insertion for county-scale data.
+  // construction than one-at-a-time insertion for county-scale data. The
+  // tree is the only copy kept: the POIs are freed before the packing.
   std::vector<rtree::ObjectEntry> entries;
-  entries.reserve(pois_.size());
-  for (const Poi& poi : pois_) entries.push_back({poi.position, poi.id});
+  entries.reserve(pois.size());
+  for (const Poi& poi : pois) entries.push_back({poi.position, poi.id});
+  std::vector<Poi>().swap(pois);
   tree_ = rtree::BulkLoad(std::move(entries), tree_options);
   if (storage.has_value()) {
     pager_ = std::make_unique<storage::NodePager>(&tree_, *storage);

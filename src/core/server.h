@@ -52,11 +52,13 @@ struct ServerReply {
   bool operator==(const ServerReply&) const = default;
 };
 
-/// The spatial database server.
+/// The spatial database server. The R*-tree is its only copy of the POI
+/// set: the constructor consumes `pois` and keeps just their count.
 class SpatialServer {
  public:
   /// Builds the R*-tree over the POI set. `tree_options` defaults to the
-  /// paper's branching factor of 30.
+  /// paper's branching factor of 30. Pass the POIs by move to spare a copy;
+  /// they are freed before the tree is packed.
   ///
   /// `storage`, when given, puts a paged storage engine (src/storage/)
   /// under the tree: every answering traversal (EINN, the pruned range
@@ -113,8 +115,7 @@ class SpatialServer {
   /// k and count_mode().
   rtree::AccessCounter InnBaseline(geom::Vec2 q, int k) const;
 
-  size_t poi_count() const { return pois_.size(); }
-  const std::vector<Poi>& pois() const { return pois_; }
+  size_t poi_count() const { return poi_count_; }
   const rtree::RStarTree& tree() const { return tree_; }
   const ServerStats& stats() const { return stats_; }
   rtree::AccessCountMode count_mode() const { return count_mode_; }
@@ -136,7 +137,7 @@ class SpatialServer {
   void ResetStats() { stats_ = ServerStats{}; }
 
  private:
-  std::vector<Poi> pois_;
+  size_t poi_count_;
   rtree::RStarTree tree_;
   rtree::AccessCountMode count_mode_;
   std::unique_ptr<storage::NodePager> pager_;

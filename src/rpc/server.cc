@@ -12,8 +12,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/obs/metrics.h"
-
 namespace senn::rpc {
 namespace {
 
@@ -34,9 +32,7 @@ void CloseFd(int* fd) {
 
 Server::Server(core::SpatialServer* spatial, ServerOptions options,
                obs::MetricsRegistry* metrics)
-    : options_(std::move(options)),
-      service_(spatial, options_.service, metrics),
-      metrics_(metrics) {}
+    : options_(std::move(options)), service_(spatial, options_.service, metrics) {}
 
 Server::~Server() { Stop(); }
 
@@ -201,10 +197,7 @@ void Server::DispatchReady(Connection* conn) {
         EncodeError(f.header.request_id, err, &conn->outbuf);
       }
       requests_shed_.fetch_add(n, std::memory_order_relaxed);
-      if (metrics_ != nullptr) {
-        std::lock_guard<std::mutex> lock(metrics_mu_);
-        metrics_->Inc("rpc/shed", n);
-      }
+      service_.RecordShed(n);
     } else {
       groups_dispatched_.fetch_add(1, std::memory_order_relaxed);
       service_.AnswerGroup(conn->backlog, &conn->outbuf);

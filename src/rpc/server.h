@@ -32,13 +32,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/common/thread_annotations.h"
 #include "src/core/server.h"
 #include "src/rpc/service.h"
 #include "src/rpc/wire.h"
@@ -84,9 +82,9 @@ struct ServerCounters {
 class Server {
  public:
   /// `spatial` must outlive the server. `metrics`, when given, receives
-  /// rpc/ + batch/ counters; reads are only consistent while the server is
-  /// stopped (updates happen under internal locks, but a concurrent reader
-  /// would race).
+  /// rpc/ + batch/ counters, all written by the QueryService under its
+  /// lock; reads are only consistent while the server is stopped (a
+  /// concurrent reader would race).
   Server(core::SpatialServer* spatial, ServerOptions options,
          obs::MetricsRegistry* metrics = nullptr);
   ~Server();
@@ -135,12 +133,8 @@ class Server {
   void CloseConnection(Connection* conn);
 
   ServerOptions options_;
+  /// The only writer of the metrics registry, shed counter included.
   QueryService service_;
-  /// Updates made outside the service lock (the shed counter) go through
-  /// metrics_mu_; everything else reaches the registry via service_, under
-  /// its lock. The pointer itself is set once in the constructor.
-  obs::MetricsRegistry* metrics_ SENN_PT_GUARDED_BY(metrics_mu_);
-  std::mutex metrics_mu_;
 
   int listen_fd_ = -1;
   /// Written once by Stop() and never drained, so every loop's poll sees it.

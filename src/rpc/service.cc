@@ -93,6 +93,11 @@ void QueryService::AnswerGroup(const std::vector<Frame>& frames, std::vector<uin
   }
 }
 
+void QueryService::RecordShed(size_t n) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (metrics_ != nullptr) metrics_->Inc("rpc/shed", n);
+}
+
 core::BatchStats QueryService::batch_stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return batch_.stats();

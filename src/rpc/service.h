@@ -60,8 +60,9 @@ class QueryService {
  public:
   /// `server` must outlive the service. `metrics`, when given, receives the
   /// "rpc/" dispatch counters and the "batch/" engine counters; it is
-  /// updated only under the service lock, so a registry may be shared with
-  /// other single-threaded readers only after the service is idle.
+  /// updated only under the service lock and by no one else, so a registry
+  /// may be shared with other single-threaded readers only after the
+  /// service is idle.
   QueryService(core::SpatialServer* server, ServiceOptions options,
                obs::MetricsRegistry* metrics = nullptr);
 
@@ -77,6 +78,11 @@ class QueryService {
   void AnswerGroup(const std::vector<Frame>& frames, std::vector<uint8_t>* out,
                    obs::QueryTracer* tracer = nullptr,
                    std::vector<size_t>* cluster_sizes = nullptr) SENN_EXCLUDES(mu_);
+
+  /// Counts `n` requests the transport load-shed without engine work into
+  /// the registry's "rpc/shed". Takes the service lock, the registry's one
+  /// guard, so a shed on one event loop cannot race an answer on another.
+  void RecordShed(size_t n) SENN_EXCLUDES(mu_);
 
   /// Engine batch counters (shared traversals, singleton delegations).
   core::BatchStats batch_stats() const SENN_EXCLUDES(mu_);

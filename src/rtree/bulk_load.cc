@@ -11,6 +11,24 @@ namespace {
 using Node = RStarTree::Node;
 using Slot = RStarTree::Slot;
 
+// An upper-level item: a packed child and its MBR.
+struct Branch {
+  geom::Mbr mbr;
+  std::unique_ptr<Node> child;
+};
+
+geom::Vec2 CenterOf(const ObjectEntry& o) { return geom::Mbr::OfPoint(o.position).Center(); }
+geom::Vec2 CenterOf(const Branch& b) { return b.mbr.Center(); }
+
+void Place(const ObjectEntry& o, Node* leaf) {
+  leaf->slots.push_back({geom::Mbr::OfPoint(o.position), nullptr, o});
+}
+
+void Place(Branch& b, Node* parent) {
+  b.child->parent = parent;
+  parent->slots.push_back({b.mbr, std::move(b.child), {}});
+}
+
 // Splits `count` items into groups of at most `cap`, rebalancing the tail so
 // every group has at least `min_size` (requires cap >= 2 * min_size, which
 // the RStarTree options clamp guarantees). Returns the group sizes.
@@ -30,23 +48,26 @@ std::vector<size_t> GroupSizes(size_t count, size_t cap, size_t min_size) {
   return sizes;
 }
 
-// Packs `slots` (all at the same level) into parent nodes with STR: sort by
-// center x, slice, sort slices by center y, emit runs.
-std::vector<std::unique_ptr<Node>> PackLevel(std::vector<Slot> slots, int child_level,
+// Packs `items` (all at the same level) into nodes at `level` with STR:
+// sort by center x, slice, sort slices by center y, emit runs. Items are
+// ObjectEntry at the leaf level and Branch above, so every level goes
+// through this one packer; the items are consumed.
+template <typename Item>
+std::vector<std::unique_ptr<Node>> PackLevel(std::vector<Item> items, int level,
                                              const RStarTree::Options& options) {
   const size_t cap = static_cast<size_t>(options.max_entries);
   const size_t min_size = static_cast<size_t>(options.min_entries);
-  const size_t n = slots.size();
+  const size_t n = items.size();
   const size_t node_count = (n + cap - 1) / cap;
   const size_t slices = static_cast<size_t>(
       std::ceil(std::sqrt(static_cast<double>(node_count))));
   const size_t slice_size = (n + slices - 1) / slices;
 
-  // Stable: co-located slots keep their input order (object id order at the
-  // leaf level, child preorder above), so the packing is a pure function of
-  // the input sequence even for duplicate coordinates (lattice worlds).
-  std::stable_sort(slots.begin(), slots.end(), [](const Slot& a, const Slot& b) {
-    return a.mbr.Center().x < b.mbr.Center().x;
+  // Stable: co-located items keep their input order (object input order at
+  // the leaf level, child preorder above), so the packing is a pure function
+  // of the input sequence even for duplicate coordinates (lattice worlds).
+  std::stable_sort(items.begin(), items.end(), [](const Item& a, const Item& b) {
+    return CenterOf(a).x < CenterOf(b).x;
   });
 
   std::vector<std::unique_ptr<Node>> nodes;
@@ -55,21 +76,17 @@ std::vector<std::unique_ptr<Node>> PackLevel(std::vector<Slot> slots, int child_
     size_t end = std::min(begin + slice_size, n);
     // Absorb a tail slice too small to form a legal node.
     if (n - end > 0 && n - end < min_size) end = n;
-    std::stable_sort(slots.begin() + static_cast<long>(begin),
-                     slots.begin() + static_cast<long>(end),
-                     [](const Slot& a, const Slot& b) {
-                       return a.mbr.Center().y < b.mbr.Center().y;
+    std::stable_sort(items.begin() + static_cast<long>(begin),
+                     items.begin() + static_cast<long>(end),
+                     [](const Item& a, const Item& b) {
+                       return CenterOf(a).y < CenterOf(b).y;
                      });
     size_t cursor = begin;
     for (size_t take : GroupSizes(end - begin, cap, min_size)) {
       auto node = std::make_unique<Node>();
-      node->level = child_level + 1;
+      node->level = level;
       node->slots.reserve(take);
-      for (size_t i = 0; i < take; ++i) {
-        Slot& s = slots[cursor++];
-        if (s.child) s.child->parent = node.get();
-        node->slots.push_back(std::move(s));
-      }
+      for (size_t i = 0; i < take; ++i) Place(items[cursor++], node.get());
       nodes.push_back(std::move(node));
     }
     begin = end;
@@ -88,31 +105,18 @@ RStarTree BulkLoad(std::vector<ObjectEntry> objects, RStarTree::Options options)
     return tree;
   }
 
-  // Leaf level: object slots packed with STR. PackLevel produces nodes at
-  // child_level + 1; feed it level -1 so leaves land at level 0.
-  std::vector<Slot> leaf_slots;
-  leaf_slots.reserve(n);
-  for (const ObjectEntry& o : objects) {
-    Slot s;
-    s.mbr = geom::Mbr::OfPoint(o.position);
-    s.object = o;
-    leaf_slots.push_back(std::move(s));
-  }
-  std::vector<std::unique_ptr<Node>> level = PackLevel(std::move(leaf_slots), -1,
-                                                       tree.options_);
-
+  std::vector<std::unique_ptr<Node>> level =
+      PackLevel(std::move(objects), /*level=*/0, tree.options_);
   // Upper levels until a single node remains.
   while (level.size() > 1) {
-    std::vector<Slot> parent_slots;
-    parent_slots.reserve(level.size());
-    int child_level = level.front()->level;
+    std::vector<Branch> branches;
+    branches.reserve(level.size());
     for (std::unique_ptr<Node>& node : level) {
-      Slot s;
-      s.mbr = RStarTree::NodeMbr(*node);
-      s.child = std::move(node);
-      parent_slots.push_back(std::move(s));
+      geom::Mbr mbr = RStarTree::NodeMbr(*node);
+      branches.push_back({mbr, std::move(node)});
     }
-    level = PackLevel(std::move(parent_slots), child_level, tree.options_);
+    const int parent_level = branches.front().child->level + 1;
+    level = PackLevel(std::move(branches), parent_level, tree.options_);
   }
 
   tree.root_ = std::move(level.front());

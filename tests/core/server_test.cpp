@@ -37,6 +37,27 @@ TEST(SpatialServerTest, BuildsTreeWithPaperBranchingFactor) {
   EXPECT_TRUE(server.tree().CheckInvariants().ok());
 }
 
+// The tree is the server's only copy of the POIs: the count survives the
+// construction whether the caller moves its set in or keeps it.
+TEST(SpatialServerTest, PoiCountSurvivesConstruction) {
+  Rng rng(9);
+  const std::vector<Poi> pois = RandomPois(1234, &rng);
+  SpatialServer copied(pois);
+  EXPECT_EQ(pois.size(), 1234u);
+  EXPECT_EQ(copied.poi_count(), 1234u);
+  EXPECT_EQ(copied.tree().size(), 1234u);
+
+  std::vector<Poi> owned = pois;
+  SpatialServer moved(std::move(owned));
+  EXPECT_EQ(moved.poi_count(), 1234u);
+  EXPECT_EQ(moved.tree().size(), 1234u);
+  EXPECT_EQ(moved.QueryKnn({500, 500}, 9), copied.QueryKnn({500, 500}, 9));
+
+  SpatialServer empty({});
+  EXPECT_EQ(empty.poi_count(), 0u);
+  EXPECT_TRUE(empty.QueryKnn({0, 0}, 3).neighbors.empty());
+}
+
 TEST(SpatialServerTest, PlainQueryMatchesBruteForce) {
   Rng rng(2);
   std::vector<Poi> pois = RandomPois(800, &rng);

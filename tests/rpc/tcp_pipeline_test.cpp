@@ -24,6 +24,7 @@
 
 #include "src/common/rng.h"
 #include "src/core/server.h"
+#include "src/obs/metrics.h"
 #include "src/rpc/client.h"
 #include "src/rpc/tcp.h"
 
@@ -279,6 +280,74 @@ TEST(TcpPipelineTest, AdmissionControlShedsWithOverloaded) {
   request.k = 1;
   EXPECT_TRUE(client.Knn(request).ok());  // connection still usable
   server.Stop();
+}
+
+// Two loops shedding and answering at once both count into one metrics
+// registry. Every write to it must go through the QueryService lock: under
+// TSan this is the test that sees a shed on one loop race an answer on the
+// other, and the counts must add up either way.
+TEST(TcpPipelineTest, ShedAndAnsweredCountsAgreeInOneRegistry) {
+  constexpr int kClients = 4;
+  constexpr int kBursts = 12;
+  constexpr int kDepth = 32;
+
+  std::vector<core::Poi> pois = WorldPois();
+  core::SpatialServer served(pois);
+  obs::MetricsRegistry metrics;
+  ServerOptions options;
+  options.worker_threads = 2;
+  options.max_inflight_requests = 48;  // two bursts in the engine at once shed
+  Server server(&served, options, &metrics);
+  ASSERT_TRUE(server.Start().ok());
+
+  std::atomic<int> failures{0};
+  std::atomic<uint64_t> shed{0};
+  std::atomic<uint64_t> answered{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([c, &server, &failures, &shed, &answered] {
+      auto transport = ConnectTo(server);
+      if (!transport.ok()) {
+        ++failures;
+        return;
+      }
+      Client client(transport->get());
+      Rng rng = Rng(20060403).Stream("tcp/shed", static_cast<uint64_t>(c));
+      for (int burst = 0; burst < kBursts; ++burst) {
+        std::vector<uint64_t> ids;
+        for (int d = 0; d < kDepth; ++d) {
+          KnnRequest request;
+          request.q = {rng.Uniform(0, 1000), rng.Uniform(0, 1000)};
+          request.k = 4;
+          ids.push_back(client.SendKnn(request));
+        }
+        if (!client.Flush().ok()) {
+          ++failures;
+          return;
+        }
+        for (uint64_t id : ids) {
+          Result<core::ServerReply> reply = client.Wait(id);
+          if (reply.ok()) {
+            ++answered;
+          } else if (reply.status().code() == Status::Code::kFailedPrecondition) {
+            ++shed;
+          } else {
+            ++failures;
+            return;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  server.Stop();
+  EXPECT_EQ(failures.load(), 0);
+
+  const uint64_t sent = static_cast<uint64_t>(kClients) * kBursts * kDepth;
+  EXPECT_EQ(shed.load() + answered.load(), sent);
+  EXPECT_EQ(server.counters().requests_shed, shed.load());
+  EXPECT_EQ(metrics.counter("rpc/shed"), server.counters().requests_shed);
+  EXPECT_EQ(metrics.counter("rpc/requests"), answered.load());
 }
 
 TEST(TcpPipelineTest, StopWhileClientsConnectedShutsDownCleanly) {

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <set>
+#include <unordered_map>
 
 #include "src/common/rng.h"
 #include "src/rtree/knn.h"
@@ -130,6 +133,130 @@ TEST(BulkLoadTest, CustomOptionsRespected) {
   RStarTree tree = BulkLoad(MakeRandomObjects(500, &rng), opts);
   EXPECT_TRUE(tree.CheckInvariants().ok()) << tree.CheckInvariants().ToString();
   EXPECT_EQ(tree.options().max_entries, 8);
+}
+
+// FNV-1a over a preorder walk of the tree: per node its level, slot count
+// and the preorder index of its parent; per slot its MBR bits and, at the
+// leaves, the object's position bits and id. Two trees hash equal only if
+// they have the same node order, slot order, MBRs and parent links.
+uint64_t ShapeFingerprint(const RStarTree& tree) {
+  uint64_t h = 14695981039346656037ULL;
+  auto mix = [&h](uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ULL;
+    }
+  };
+  auto mix_point = [&mix](Vec2 p) {
+    mix(std::bit_cast<uint64_t>(p.x));
+    mix(std::bit_cast<uint64_t>(p.y));
+  };
+  std::unordered_map<const RStarTree::Node*, int64_t> preorder_index;
+  std::vector<const RStarTree::Node*> stack{tree.root()};
+  while (!stack.empty()) {
+    const RStarTree::Node* node = stack.back();
+    stack.pop_back();
+    const int64_t index = static_cast<int64_t>(preorder_index.size());
+    preorder_index[node] = index;
+    auto parent = preorder_index.find(node->parent);
+    mix(static_cast<uint64_t>(node->level));
+    mix(node->slots.size());
+    mix(static_cast<uint64_t>(parent == preorder_index.end() ? -1 : parent->second));
+    for (const RStarTree::Slot& s : node->slots) {
+      mix_point(s.mbr.lo);
+      mix_point(s.mbr.hi);
+      if (node->IsLeaf()) {
+        mix_point(s.object.position);
+        mix(static_cast<uint64_t>(s.object.id));
+      }
+    }
+    for (auto it = node->slots.rbegin(); it != node->slots.rend(); ++it) {
+      if (it->child) stack.push_back(it->child.get());
+    }
+  }
+  return h;
+}
+
+// Co-located points: a 40x40 lattice, each site held 6 times, ids shuffled
+// so that input order and id order disagree.
+std::vector<ObjectEntry> LatticeObjects() {
+  std::vector<ObjectEntry> objs;
+  for (int copy = 0; copy < 6; ++copy) {
+    for (int i = 0; i < 40; ++i) {
+      for (int j = 0; j < 40; ++j) objs.push_back({{i * 25.0, j * 25.0}, 0});
+    }
+  }
+  std::vector<int64_t> ids(objs.size());
+  for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<int64_t>(i);
+  Rng rng(31);
+  rng.Shuffle(&ids);
+  for (size_t i = 0; i < objs.size(); ++i) objs[i].id = ids[i];
+  return objs;
+}
+
+// Eight dense hotspots of 1,500 points each.
+std::vector<ObjectEntry> HotspotObjects() {
+  Rng rng(32);
+  std::vector<ObjectEntry> objs;
+  for (int c = 0; c < 8; ++c) {
+    Vec2 center{rng.Uniform(0, 1000), rng.Uniform(0, 1000)};
+    for (int i = 0; i < 1500; ++i) {
+      objs.push_back({{center.x + rng.Uniform(-4, 4), center.y + rng.Uniform(-4, 4)},
+                      static_cast<int64_t>(objs.size())});
+    }
+  }
+  return objs;
+}
+
+// Coordinates around the origin, with exact -0.0 and +0.0 mixed in on both
+// axes: STR's "<" treats the two zeros as equal, so they must keep their
+// input order, while the MBRs record which zero came first.
+std::vector<ObjectEntry> SignedZeroObjects() {
+  Rng rng(33);
+  std::vector<ObjectEntry> objs;
+  for (int i = 0; i < 3000; ++i) {
+    Vec2 p{rng.Uniform(-500, 500), rng.Uniform(-500, 500)};
+    if (i % 3 == 0) p.x = (i % 2 == 0) ? 0.0 : -0.0;
+    if (i % 5 == 0) p.y = (i % 4 == 0) ? -0.0 : 0.0;
+    objs.push_back({p, i});
+  }
+  return objs;
+}
+
+// Pins the exact packed shape: a change to the STR packer that is meant to
+// be a pure speed or memory change must keep every one of these.
+TEST(BulkLoadTest, PackedShapeMatchesRecordedFingerprints) {
+  struct Case {
+    const char* name;
+    std::vector<ObjectEntry> objects;
+    RStarTree::Options options;
+    uint64_t fingerprint;
+  };
+  auto uniform = [](int n) {
+    Rng rng(30);
+    return MakeRandomObjects(n, &rng);
+  };
+  RStarTree::Options small;
+  small.max_entries = 8;
+  small.min_entries = 3;
+  std::vector<Case> cases;
+  cases.push_back({"uniform_0", uniform(0), {}, 5256656924758153597ULL});
+  cases.push_back({"uniform_30", uniform(30), {}, 13227157039120517713ULL});
+  cases.push_back({"uniform_31", uniform(31), {}, 7321201986864498735ULL});
+  cases.push_back({"uniform_917", uniform(917), {}, 13514357043882143354ULL});
+  cases.push_back({"uniform_12345", uniform(12345), {}, 1025627196410158520ULL});
+  cases.push_back({"uniform_100000", uniform(100000), {}, 15376182289894193836ULL});
+  cases.push_back({"lattice", LatticeObjects(), {}, 5171286311086684148ULL});
+  cases.push_back({"hotspots", HotspotObjects(), {}, 17170030887914338905ULL});
+  cases.push_back({"signed_zero", SignedZeroObjects(), {}, 14344744092756440684ULL});
+  cases.push_back({"fanout_8_3", uniform(5000), small, 5286098656492171123ULL});
+  for (Case& c : cases) {
+    const size_t n = c.objects.size();
+    RStarTree tree = BulkLoad(std::move(c.objects), c.options);
+    EXPECT_EQ(tree.size(), n) << c.name;
+    EXPECT_TRUE(tree.CheckInvariants().ok()) << c.name;
+    EXPECT_EQ(ShapeFingerprint(tree), c.fingerprint) << c.name;
+  }
 }
 
 }  // namespace

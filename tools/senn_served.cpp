@@ -144,6 +144,11 @@ int main(int argc, char** argv) {
   options.service.batch.cluster_cell_m = batch_cell;
   options.max_inflight_requests = max_inflight;
   rpc::Server server(&spatial, options, &metrics);
+  // Installed before the listening line goes out: a client may connect,
+  // finish and send SIGINT before this thread runs again, and the default
+  // action would kill the process instead of shutting it down cleanly.
+  std::signal(SIGINT, OnSignal);
+  std::signal(SIGTERM, OnSignal);
   Status st = server.Start();
   if (!st.ok()) {
     std::fprintf(stderr, "senn_served: %s\n", st.message().c_str());
@@ -152,8 +157,6 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "senn_served: listening on %s:%u (%d workers, batch %d)\n",
                bind.c_str(), server.port(), workers, batch);
 
-  std::signal(SIGINT, OnSignal);
-  std::signal(SIGTERM, OnSignal);
   while (g_stop == 0) {
     // Idle wait; all work happens on the server's threads.
     ::poll(nullptr, 0, 200);
