@@ -51,15 +51,15 @@ void Simulator::BuildWorld() {
   batch.max_group = config_.server_batch;
   if (config_.server_transport == ServerTransport::kLoopback) {
     // Every server contact crosses the full rpc wire path. The QueryService
-    // carries the same batch options the in-process BatchServer would get
-    // (max_group = 1 when batching is off, which disables sharing and makes
-    // each request a verbatim QueryKnn).
+    // carries the batch options the in-process BatchServer gets.
     rpc::ServiceOptions service;
     service.batch = batch;
     rpc_service_ = std::make_unique<rpc::QueryService>(server_.get(), service);
     rpc_transport_ = std::make_unique<rpc::LoopbackTransport>(rpc_service_.get());
     rpc_client_ = std::make_unique<rpc::Client>(rpc_transport_.get());
-  } else if (config_.server_batch > 1) {
+  } else {
+    // With max_group = 1 every cluster is a singleton, answered by a
+    // verbatim SpatialServer::QueryKnn call.
     batch_server_ = std::make_unique<core::BatchServer>(server_.get(), batch);
   }
 
@@ -237,50 +237,14 @@ void Simulator::WarmStartCaches() {
   server_->ResetStats();  // priming traffic is not part of the experiment
 }
 
-core::SennOutcome Simulator::ExecuteQuery(MobileHost* host, double now, int k) {
-  PendingQuery pq;
-  PrepareQuery(host, now, k, &pq);
-  if (pq.pending.needs_server) {
-    obs::QueryTracer* tracer = pq.tracer.has_value() ? &*pq.tracer : nullptr;
-    obs::ScopedSpan server_span(tracer, obs::Phase::kServerEinn);
-    if (rpc_client_ != nullptr) {
-      // Loopback rpc: a blocking call is a dispatch group of one — a
-      // verbatim QueryKnn on the far side, bitwise reply included.
-      rpc_transport_->SetDispatchObservers(tracer, nullptr);
-      const core::ServerReply reply = KnnOverRpc(pq.pending);
-      rpc_transport_->SetDispatchObservers(nullptr, nullptr);
-      senn_->Finish(&pq.pending, reply, &server_span);
-    } else {
-      const core::ServerReply reply =
-          server_->QueryKnn(pq.pending.q, pq.pending.heap_capacity, pq.pending.outcome.bounds,
-                            static_cast<int>(pq.pending.certain.size()), tracer);
-      senn_->Finish(&pq.pending, reply, &server_span);
-    }
-  }
-  FinalizeQuery(&pq);
-  return std::move(pq.pending.outcome);
-}
-
-core::ServerReply Simulator::KnnOverRpc(const core::PendingSenn& pending) {
-  rpc::KnnRequest request;
-  request.q = pending.q;
-  request.k = pending.heap_capacity;
-  request.already_certified = static_cast<int32_t>(pending.certain.size());
-  request.bounds = pending.outcome.bounds;
-  Result<core::ServerReply> reply = rpc_client_->Knn(request);
-  // The engine only emits valid requests over a transport that cannot drop
-  // bytes, so a failure here is a wiring bug, not an input problem.
-  assert(reply.ok() && "loopback rpc rejected an engine-generated request");
-  if (!reply.ok()) return core::ServerReply{};
-  return std::move(*reply);
-}
-
-void Simulator::PrepareQuery(MobileHost* host, double now, int k, PendingQuery* out) {
+void Simulator::PrepareQuery(MobileHost* host, double now, int k, bool measuring,
+                             PendingQuery* out) {
   const uint64_t qid = query_seq_++;
   out->host = host;
   out->qid = qid;
   out->now = now;
   out->k = k;
+  out->measuring = measuring;
   // Structured tracing: the tracer exists only for sampled queries; a null
   // pointer keeps every span site a single pointer compare. Timestamps are
   // sim time in microseconds — never wall clock — so traces are
@@ -349,36 +313,33 @@ void Simulator::PrepareQuery(MobileHost* host, double now, int k, PendingQuery* 
     harvest.AddArg("harvested", static_cast<uint64_t>(peer_caches_.size()));
   }
 
-  out->p2p_messages = ex.messages_sent;
-  out->p2p_bytes = ex.bytes_sent;
-  out->retries = ex.retries;
-  out->transmissions_lost = ex.transmissions_lost;
-  out->replies_missed = candidates_.size() - ex.arrived.size();
-
   out->pending = senn_->Prepare(q, k, peer_caches_, tracer);
-  const core::SennOutcome& outcome = out->pending.outcome;
-  out->latency_s = ex.elapsed_s;
-  // The RTT is drawn here even when the reply is deferred: the "net" stream
-  // must consume the same draws in the same order whether the contact runs
-  // now (sequential) or at the step's batched drain.
-  if (outcome.resolution == core::Resolution::kServer) {
-    out->latency_s += net::DrawServerRtt(config_.channel, &net_rng);
-  }
+  const bool to_server = out->pending.outcome.resolution == core::Resolution::kServer;
+  out->channel = MeasureChannel(ex, to_server, &net_rng);
   // A server contact is loss-induced when the complete peer set (the ideal
   // channel's harvest) would have certified the answer locally. Evaluated
   // while the full_caches_ scratch is still this query's.
-  out->loss_induced = outcome.resolution == core::Resolution::kServer &&
-                      out->replies_missed > 0 && senn_->ResolvesLocally(q, k, full_caches_);
+  out->channel.loss_induced =
+      to_server && out->channel.replies_missed > 0 && senn_->ResolvesLocally(q, k, full_caches_);
+}
+
+Simulator::ChannelMetrics Simulator::MeasureChannel(const net::ExchangeResult& ex,
+                                                    bool to_server, Rng* net_rng) const {
+  ChannelMetrics m;
+  m.p2p_messages = ex.messages_sent;
+  m.p2p_bytes = ex.bytes_sent;
+  m.retries = ex.retries;
+  m.transmissions_lost = ex.transmissions_lost;
+  m.replies_missed = candidates_.size() - ex.arrived.size();
+  m.latency_s = ex.elapsed_s;
+  // The RTT is drawn when the query is prepared, even if its reply is
+  // answered later: the "net" stream must consume the same draws in the
+  // same order whenever the contact runs.
+  if (to_server) m.latency_s += net::DrawServerRtt(config_.channel, net_rng);
+  return m;
 }
 
 void Simulator::FinalizeQuery(PendingQuery* pq) {
-  last_p2p_messages_ = pq->p2p_messages;
-  last_p2p_bytes_ = pq->p2p_bytes;
-  last_latency_s_ = pq->latency_s;
-  last_retries_ = pq->retries;
-  last_transmissions_lost_ = pq->transmissions_lost;
-  last_replies_missed_ = pq->replies_missed;
-  last_loss_induced_fallback_ = pq->loss_induced;
   // Cache policy 1: keep the certain neighbors of the most recent query.
   const core::SennOutcome& outcome = pq->pending.outcome;
   if (!outcome.certain_prefix.empty()) {
@@ -390,63 +351,75 @@ void Simulator::FinalizeQuery(PendingQuery* pq) {
   }
 }
 
-void Simulator::DrainBatch(SimulationResult* result) {
+void Simulator::AnswerDeferred(SimulationResult* result) {
   if (deferred_.empty()) return;
-  // One drain-scoped tracer (named by the first deferred query) carries the
-  // per-cluster server_batch_einn spans; per-query tracers already closed
+  PendingQuery& first = deferred_.front();
+  const bool batched = config_.server_batch > 1;
+  // A sequential contact runs on its query's own tracer, inside the
+  // server_einn span that SennProcessor::Finish annotates. A batched drain
+  // gets one drain-scoped tracer, named by its first query, for the
+  // per-cluster server_batch_einn spans; the queries' own tracers closed
   // their client-side spans in PrepareQuery.
   std::optional<obs::QueryTracer> drain_tracer;
-  if (span_sink_ != nullptr) {
-    drain_tracer.emplace(span_sink_, deferred_.front().qid,
-                         static_cast<uint64_t>(std::llround(deferred_.front().now * 1e6)));
+  if (batched && span_sink_ != nullptr) {
+    drain_tracer.emplace(span_sink_, first.qid,
+                         static_cast<uint64_t>(std::llround(first.now * 1e6)));
   }
-  obs::QueryTracer* tracer = drain_tracer.has_value() ? &*drain_tracer : nullptr;
-  const core::BatchStats before =
-      rpc_service_ != nullptr ? rpc_service_->batch_stats() : batch_server_->stats();
+  std::optional<obs::QueryTracer>& owner = batched ? drain_tracer : first.tracer;
+  obs::QueryTracer* tracer = owner.has_value() ? &*owner : nullptr;
+  auto batch_stats = [this] {
+    return rpc_service_ != nullptr ? rpc_service_->batch_stats() : batch_server_->stats();
+  };
+  const core::BatchStats before = batch_stats();
   std::vector<size_t> cluster_sizes;
   std::vector<core::ServerReply> replies;
-  replies.reserve(deferred_.size());
-  if (rpc_client_ != nullptr) {
-    // Loopback rpc: pipeline the whole crop, then wait in send order. The
-    // burst reaches the QueryService as ONE dispatch group, answered by the
-    // same single AnswerBatch call the in-process path makes.
-    rpc_transport_->SetDispatchObservers(tracer, &cluster_sizes);
-    std::vector<uint64_t> ids;
-    ids.reserve(deferred_.size());
-    for (const PendingQuery& pq : deferred_) {
-      rpc::KnnRequest request;
-      request.q = pq.pending.q;
-      request.k = pq.pending.heap_capacity;
-      request.already_certified = static_cast<int32_t>(pq.pending.certain.size());
-      request.bounds = pq.pending.outcome.bounds;
-      ids.push_back(rpc_client_->SendKnn(request));
+  {
+    obs::ScopedSpan server_span(batched ? nullptr : tracer, obs::Phase::kServerEinn);
+    if (rpc_client_ != nullptr) {
+      // Loopback rpc: pipeline every contact, then wait in send order. The
+      // burst reaches the QueryService as ONE dispatch group, answered by
+      // the same AnswerBatch call the in-process path makes.
+      rpc_transport_->SetDispatchObservers(tracer, &cluster_sizes);
+      std::vector<uint64_t> ids;
+      ids.reserve(deferred_.size());
+      replies.reserve(deferred_.size());
+      for (const PendingQuery& pq : deferred_) {
+        rpc::KnnRequest request;
+        request.q = pq.pending.q;
+        request.k = pq.pending.heap_capacity;
+        request.already_certified = static_cast<int32_t>(pq.pending.certain.size());
+        request.bounds = pq.pending.outcome.bounds;
+        ids.push_back(rpc_client_->SendKnn(request));
+      }
+      for (uint64_t id : ids) {
+        Result<core::ServerReply> reply = rpc_client_->Wait(id);
+        // The engine only emits valid requests over a transport that cannot
+        // drop bytes, so a failure here is a wiring bug, not an input problem.
+        assert(reply.ok() && "loopback rpc rejected an engine-generated request");
+        replies.push_back(reply.ok() ? std::move(*reply) : core::ServerReply{});
+      }
+      rpc_transport_->SetDispatchObservers(nullptr, nullptr);
+    } else {
+      std::vector<core::BatchQuery> queries;
+      queries.reserve(deferred_.size());
+      for (const PendingQuery& pq : deferred_) {
+        queries.push_back({pq.pending.q, pq.pending.heap_capacity, pq.pending.outcome.bounds,
+                           static_cast<int>(pq.pending.certain.size())});
+      }
+      replies = batch_server_->AnswerBatch(queries, tracer, nullptr, &cluster_sizes);
     }
-    for (uint64_t id : ids) {
-      Result<core::ServerReply> reply = rpc_client_->Wait(id);
-      assert(reply.ok() && "loopback rpc rejected an engine-generated request");
-      replies.push_back(reply.ok() ? std::move(*reply) : core::ServerReply{});
+    for (size_t i = 0; i < deferred_.size(); ++i) {
+      PendingQuery& pq = deferred_[i];
+      senn_->Finish(&pq.pending, replies[i], &server_span);
+      FinalizeQuery(&pq);
+      AccountQuery(pq, result);
     }
-    rpc_transport_->SetDispatchObservers(nullptr, nullptr);
-  } else {
-    std::vector<core::BatchQuery> queries;
-    queries.reserve(deferred_.size());
-    for (const PendingQuery& pq : deferred_) {
-      queries.push_back({pq.pending.q, pq.pending.heap_capacity, pq.pending.outcome.bounds,
-                         static_cast<int>(pq.pending.certain.size())});
-    }
-    replies = batch_server_->AnswerBatch(queries, tracer, nullptr, &cluster_sizes);
-  }
-  for (size_t i = 0; i < deferred_.size(); ++i) {
-    PendingQuery& pq = deferred_[i];
-    senn_->Finish(&pq.pending, replies[i], nullptr);
-    FinalizeQuery(&pq);
-    AccountQuery(pq.pending.outcome, pq.host, pq.now, pq.k, pq.measuring, result);
   }
   // All of a drain's queries launched in the same step, so one flag covers
-  // the batch-path counters too.
-  if (deferred_.front().measuring) {
-    const core::BatchStats after =
-        rpc_service_ != nullptr ? rpc_service_->batch_stats() : batch_server_->stats();
+  // the batch-path counters too. A sequential contact is a cluster of one
+  // and adds none.
+  if (batched && first.measuring) {
+    const core::BatchStats after = batch_stats();
     result->batch_clusters += after.clusters - before.clusters;
     result->batch_batched_queries += after.batched_queries - before.batched_queries;
     for (size_t size : cluster_sizes) {
@@ -460,35 +433,23 @@ void Simulator::DrainBatch(SimulationResult* result) {
   deferred_.clear();
 }
 
-void Simulator::AccountQuery(const core::SennOutcome& outcome, MobileHost* host,
-                             double now, int k, bool measuring,
-                             SimulationResult* result) {
+void Simulator::AccountQuery(const PendingQuery& pq, SimulationResult* result) {
+  const core::SennOutcome& outcome = pq.pending.outcome;
   if (trace_ != nullptr) {
     QueryEvent event;
-    event.time_s = now;
-    event.host_id = host->id();
-    event.k = k;
+    event.time_s = pq.now;
+    event.host_id = pq.host->id();
+    event.k = pq.k;
     event.resolution = outcome.resolution;
     event.peers_in_range = outcome.peers_consulted;
     event.certain_count = static_cast<int>(outcome.certain_prefix.size());
     event.einn_pages = outcome.einn_accesses.total();
     event.inn_pages = outcome.inn_accesses.total();
-    event.measured = measuring;
+    event.measured = pq.measuring;
     trace_->Record(event);
   }
-  if (!measuring) return;
-  ++result->measured_queries;
-  result->peers_in_range.Add(static_cast<double>(outcome.peers_consulted));
-  result->p2p_messages_per_query.Add(last_p2p_messages_);
-  result->p2p_bytes_per_query.Add(last_p2p_bytes_);
-  result->query_latency_s.Add(last_latency_s_);
-  result->latency_p50.Add(last_latency_s_);
-  result->latency_p95.Add(last_latency_s_);
-  result->latency_p99.Add(last_latency_s_);
-  result->retries_per_query.Add(static_cast<double>(last_retries_));
-  result->transmissions_lost += last_transmissions_lost_;
-  result->replies_missed += last_replies_missed_;
-  if (last_loss_induced_fallback_) ++result->loss_induced_server_fallbacks;
+  if (!pq.measuring) return;
+  AccountLaunch(outcome.peers_consulted, pq.channel, result);
   switch (outcome.resolution) {
     case core::Resolution::kSinglePeer:
       ++result->by_single_peer;
@@ -502,20 +463,41 @@ void Simulator::AccountQuery(const core::SennOutcome& outcome, MobileHost* host,
       ++result->by_multi_peer;
       break;
     case core::Resolution::kServer:
-      ++result->by_server;
-      result->einn_pages.Add(static_cast<double>(outcome.einn_accesses.total()));
-      result->inn_pages.Add(static_cast<double>(outcome.inn_accesses.total()));
-      if (config_.paged_storage) {
-        // Physical (buffer-pool miss) cost of the answering run. The
-        // logical count above is pool-independent; only this differs
-        // across pool sizes and policies.
-        const uint64_t logical = outcome.einn_accesses.total();
-        const uint64_t misses = outcome.einn_accesses.misses();
-        result->einn_miss_pages.Add(static_cast<double>(misses));
-        result->buffer.AddMisses(misses);
-        result->buffer.AddHits(logical - misses);
-      }
+      AccountServerPages(outcome.einn_accesses, outcome.inn_accesses, result);
       break;
+  }
+}
+
+void Simulator::AccountLaunch(int peers_consulted, const ChannelMetrics& channel,
+                              SimulationResult* result) {
+  ++result->measured_queries;
+  result->peers_in_range.Add(static_cast<double>(peers_consulted));
+  result->p2p_messages_per_query.Add(channel.p2p_messages);
+  result->p2p_bytes_per_query.Add(channel.p2p_bytes);
+  result->query_latency_s.Add(channel.latency_s);
+  result->latency_p50.Add(channel.latency_s);
+  result->latency_p95.Add(channel.latency_s);
+  result->latency_p99.Add(channel.latency_s);
+  result->retries_per_query.Add(static_cast<double>(channel.retries));
+  result->transmissions_lost += channel.transmissions_lost;
+  result->replies_missed += channel.replies_missed;
+  if (channel.loss_induced) ++result->loss_induced_server_fallbacks;
+}
+
+void Simulator::AccountServerPages(const rtree::AccessCounter& einn,
+                                   const rtree::AccessCounter& inn,
+                                   SimulationResult* result) const {
+  ++result->by_server;
+  result->einn_pages.Add(static_cast<double>(einn.total()));
+  result->inn_pages.Add(static_cast<double>(inn.total()));
+  if (config_.paged_storage) {
+    // Physical (buffer-pool miss) cost of the answering run. The logical
+    // count above is pool-independent; only this differs across pool sizes
+    // and policies.
+    const uint64_t misses = einn.misses();
+    result->einn_miss_pages.Add(static_cast<double>(misses));
+    result->buffer.AddMisses(misses);
+    result->buffer.AddHits(einn.total() - misses);
   }
 }
 
@@ -528,12 +510,7 @@ void Simulator::ExecuteContinuousStep(MobileHost* host, double now, bool measuri
   const uint64_t regions_before = cont->stats().regions_built;
 
   core::StepResult step;
-  double p2p_messages = 0.0;
-  double p2p_bytes = 0.0;
-  double latency_s = 0.0;
-  int retries = 0;
-  uint64_t transmissions_lost = 0;
-  uint64_t replies_missed = 0;
+  ChannelMetrics channel;
 
   if (std::optional<core::StepResult> local = cont->TryLocal(q)) {
     // Zero-communication step: nothing crosses the air and no channel draws
@@ -579,30 +556,12 @@ void Simulator::ExecuteContinuousStep(MobileHost* host, double now, bool measuri
     peer_regions_.resize(kept);
 
     step = cont->ResolveWithPeers(q, peer_caches_, peer_regions_);
-    p2p_messages = ex.messages_sent;
-    p2p_bytes = ex.bytes_sent;
-    retries = ex.retries;
-    transmissions_lost = ex.transmissions_lost;
-    replies_missed = candidates_.size() - ex.arrived.size();
-    latency_s = ex.elapsed_s;
-    if (step.source == core::StepSource::kServer) {
-      latency_s += net::DrawServerRtt(config_.channel, &net_rng);
-    }
+    channel = MeasureChannel(ex, step.source == core::StepSource::kServer, &net_rng);
   }
 
   if (!measuring) return;
-  ++result->measured_queries;
   ++result->continuous_steps;
-  result->peers_in_range.Add(static_cast<double>(step.peers_consulted));
-  result->p2p_messages_per_query.Add(p2p_messages);
-  result->p2p_bytes_per_query.Add(p2p_bytes);
-  result->query_latency_s.Add(latency_s);
-  result->latency_p50.Add(latency_s);
-  result->latency_p95.Add(latency_s);
-  result->latency_p99.Add(latency_s);
-  result->retries_per_query.Add(static_cast<double>(retries));
-  result->transmissions_lost += transmissions_lost;
-  result->replies_missed += replies_missed;
+  AccountLaunch(step.peers_consulted, channel, result);
   switch (step.source) {
     case core::StepSource::kSafeRegion:
       ++result->continuous_safe_region_steps;
@@ -630,16 +589,7 @@ void Simulator::ExecuteContinuousStep(MobileHost* host, double now, bool measuri
       break;
     case core::StepSource::kServer:
       ++result->continuous_server_steps;
-      ++result->by_server;
-      result->einn_pages.Add(static_cast<double>(step.einn_accesses.total()));
-      result->inn_pages.Add(static_cast<double>(step.inn_accesses.total()));
-      if (config_.paged_storage) {
-        const uint64_t logical = step.einn_accesses.total();
-        const uint64_t misses = step.einn_accesses.misses();
-        result->einn_miss_pages.Add(static_cast<double>(misses));
-        result->buffer.AddMisses(misses);
-        result->buffer.AddHits(logical - misses);
-      }
+      AccountServerPages(step.einn_accesses, step.inn_accesses, result);
       break;
     case core::StepSource::kStepSourceCount:
       break;
@@ -687,24 +637,21 @@ SimulationResult Simulator::Run() {
       int k = config_.randomize_k
                   ? static_cast<int>(workload_rng.UniformInt(config_.k_min, config_.k_max))
                   : p.k_nn;
-      if (config_.server_batch > 1) {
-        // Batched mode (either transport): pause server-bound queries at
-        // the boundary and answer the whole step's crop together below.
-        PendingQuery pq;
-        PrepareQuery(host, now, k, &pq);
-        pq.measuring = measuring;
-        if (pq.pending.needs_server) {
-          deferred_.push_back(std::move(pq));
-          continue;
-        }
-        FinalizeQuery(&pq);
-        AccountQuery(pq.pending.outcome, host, now, k, measuring, &result);
+      // Every snapshot query is prepared; one that needs the server waits
+      // for its contact. A sequential run answers it before the next launch
+      // (a later query in the step sees this host's new cache); a batched
+      // run answers the whole step's contacts together at the step's end.
+      PendingQuery pq;
+      PrepareQuery(host, now, k, measuring, &pq);
+      if (pq.pending.needs_server) {
+        deferred_.push_back(std::move(pq));
+        if (config_.server_batch <= 1) AnswerDeferred(&result);
         continue;
       }
-      core::SennOutcome outcome = ExecuteQuery(host, now, k);
-      AccountQuery(outcome, host, now, k, measuring, &result);
+      FinalizeQuery(&pq);
+      AccountQuery(pq, &result);
     }
-    if (config_.server_batch > 1) DrainBatch(&result);
+    AnswerDeferred(&result);
   }
 
   result.simulated_seconds = duration;

@@ -68,17 +68,17 @@ enum class MPercentageMode {
 
 /// How the simulator's server contacts reach the spatial server.
 enum class ServerTransport {
-  /// Direct in-process calls (SpatialServer::QueryKnn / BatchServer) — the
-  /// historical path.
+  /// Direct in-process BatchServer::AnswerBatch calls (at server_batch 1, a
+  /// verbatim SpatialServer::QueryKnn per contact) — the historical path.
   kInProcess = 0,
   /// Every server contact travels the full rpc wire path in process:
   /// encode -> frame -> decode -> validate -> dispatch through
   /// rpc::LoopbackTransport and rpc::QueryService (src/rpc/). Deterministic
   /// and BYTE-IDENTICAL to kInProcess — report JSONs match bit for bit
   /// (golden-tested) — because the wire ships doubles as IEEE-754 bit
-  /// patterns, a blocking contact is a dispatch group of one (a verbatim
-  /// QueryKnn), and a batched drain is one pipelined group answered by the
-  /// same BatchServer::AnswerBatch call the in-process path makes.
+  /// patterns and each answered list of contacts is one pipelined dispatch
+  /// group, answered by the same BatchServer::AnswerBatch call the
+  /// in-process path makes (a sequential contact is a group of one).
   kLoopback = 1,
 };
 
@@ -129,15 +129,17 @@ struct SimulationConfig {
   /// already accumulated before the measured window.
   net::ChannelConfig channel;
 
-  /// Server-side batch answering (core/batch_server): each simulation
-  /// step's scalar-protocol server contacts are deferred and answered
-  /// together, clustered by query-point proximity (tiles of Tx_Range) into
-  /// shared EINN traversals of at most `server_batch` queries. Per-query
-  /// answers are bitwise identical to the sequential path; what changes is
-  /// the server's page traffic (shared pages fetched once per cluster) and
-  /// the reply timing model (replies arrive at step end). 1 — the default —
-  /// keeps the sequential per-query path, byte-identical outputs included
-  /// (golden-JSON tested).
+  /// Server-side batch answering (core/batch_server). Every scalar-protocol
+  /// server contact is deferred to the simulator's one server-contact
+  /// function, which clusters contacts by query-point proximity (tiles of
+  /// Tx_Range) into shared EINN traversals of at most `server_batch` queries.
+  /// Above 1,
+  /// each simulation step's contacts are answered together at the step's
+  /// end: per-query answers are bitwise identical to the sequential path;
+  /// what changes is the server's page traffic (shared pages fetched once
+  /// per cluster) and the reply timing model (replies arrive at step end).
+  /// 1 — the default — answers each contact right after its launch, as a
+  /// cluster of one, byte-identical outputs included (golden-JSON tested).
   int server_batch = 1;
 
   /// When true the server answers through the paged storage engine
@@ -282,9 +284,21 @@ class Simulator {
   const std::vector<core::Poi>& pois() const { return pois_; }
 
  private:
-  /// One query paused at the server boundary (config_.server_batch > 1):
-  /// the client-side stages already ran, the channel metrics are drawn, and
-  /// the batched drain owes it a server reply.
+  /// What one launch's wireless exchange cost, server round trip included.
+  struct ChannelMetrics {
+    double p2p_messages = 0.0;
+    double p2p_bytes = 0.0;
+    double latency_s = 0.0;
+    int retries = 0;
+    uint64_t transmissions_lost = 0;
+    uint64_t replies_missed = 0;
+    /// A server contact the complete peer set would have avoided.
+    bool loss_induced = false;
+  };
+
+  /// One snapshot query, from PrepareQuery to AccountQuery: the client-side
+  /// stages ran, the channel metrics are drawn, and a query that needs the
+  /// server waits in deferred_ for AnswerDeferred.
   struct PendingQuery {
     MobileHost* host = nullptr;
     uint64_t qid = 0;
@@ -293,44 +307,43 @@ class Simulator {
     bool measuring = false;
     geom::Vec2 q;
     core::PendingSenn pending;
-    /// Kept alive across the defer (spans were all closed by Prepare).
+    /// Kept alive until the server contact (spans were all closed by Prepare).
     std::optional<obs::QueryTracer> tracer;
-    // Channel metrics snapshot (the last_* values of the sequential path).
-    double p2p_messages = 0.0;
-    double p2p_bytes = 0.0;
-    double latency_s = 0.0;
-    int retries = 0;
-    uint64_t transmissions_lost = 0;
-    uint64_t replies_missed = 0;
-    bool loss_induced = false;
+    ChannelMetrics channel;
   };
 
   void BuildWorld();
   void WarmStartCaches();
-  /// Executes one query from `host` at simulation time `now`; returns the
-  /// outcome for metric accounting. Exactly PrepareQuery + the sequential
-  /// server contact + FinalizeQuery.
-  core::SennOutcome ExecuteQuery(MobileHost* host, double now, int k);
-  /// One blocking server contact over the loopback rpc client (the
-  /// kLoopback replacement for the direct QueryKnn call).
-  core::ServerReply KnnOverRpc(const core::PendingSenn& pending);
-  /// Client-side half of ExecuteQuery: harvest, wireless exchange, SENN
+  /// Client-side half of a snapshot query: harvest, wireless exchange, SENN
   /// peer stages, channel draws (server RTT included — the "net" stream
   /// order must not depend on when the reply materializes).
-  void PrepareQuery(MobileHost* host, double now, int k, PendingQuery* out);
-  /// Server-independent tail: publishes the channel metrics to the last_*
-  /// fields and applies cache policy 1.
+  void PrepareQuery(MobileHost* host, double now, int k, bool measuring, PendingQuery* out);
+  /// Channel metrics of an exchange over the current candidates_; draws the
+  /// server RTT from `net_rng` when the launch reaches the server.
+  ChannelMetrics MeasureChannel(const net::ExchangeResult& ex, bool to_server,
+                                Rng* net_rng) const;
+  /// Server-independent tail: applies cache policy 1.
   void FinalizeQuery(PendingQuery* pq);
-  /// Metric/trace accounting of one completed query (reads the last_*
-  /// fields; extracted from Run() so the batched drain shares it).
-  void AccountQuery(const core::SennOutcome& outcome, MobileHost* host, double now,
-                    int k, bool measuring, SimulationResult* result);
-  /// Answers every deferred query through the BatchServer and completes it.
-  void DrainBatch(SimulationResult* result);
+  /// Metric/trace accounting of one completed snapshot query.
+  void AccountQuery(const PendingQuery& pq, SimulationResult* result);
+  /// Counts a measured launch (snapshot query or continuous step): its
+  /// peers and its channel metrics.
+  static void AccountLaunch(int peers_consulted, const ChannelMetrics& channel,
+                            SimulationResult* result);
+  /// Counts a server-answered launch and its logical (and, paged, physical)
+  /// page accesses.
+  void AccountServerPages(const rtree::AccessCounter& einn, const rtree::AccessCounter& inn,
+                          SimulationResult* result) const;
+  /// The server contact: answers every deferred query, in order, through the
+  /// configured transport (the only code that names it), then finishes,
+  /// finalizes and accounts each. Sequential runs call it with one query
+  /// right after its launch; batched runs call it once per step.
+  void AnswerDeferred(SimulationResult* result);
   /// One launch of continuous mode: advances `host`'s ContinuousKnn at its
   /// current position (local fast paths first; otherwise the wireless
   /// exchange harvests peer caches AND peer safe regions) and accounts the
-  /// step. The sequential-path replacement for ExecuteQuery + AccountQuery.
+  /// step. Steps call core::ContinuousKnn, which reaches the server in
+  /// process, instead of the snapshot query path.
   void ExecuteContinuousStep(MobileHost* host, double now, bool measuring,
                              SimulationResult* result);
 
@@ -339,15 +352,16 @@ class Simulator {
   std::vector<core::Poi> pois_;
   std::unique_ptr<core::SpatialServer> server_;
   std::unique_ptr<core::SennProcessor> senn_;
-  /// Batched answering path (null unless config_.server_batch > 1 on the
-  /// in-process transport; the loopback transport batches inside its
-  /// QueryService instead).
+  /// In-process server contacts (null on the loopback transport, whose
+  /// QueryService holds its own). Clusters of at most server_batch queries;
+  /// at 1 every contact is a verbatim SpatialServer::QueryKnn.
   std::unique_ptr<core::BatchServer> batch_server_;
   /// Loopback rpc path (all null unless server_transport is kLoopback).
   std::unique_ptr<rpc::QueryService> rpc_service_;
   std::unique_ptr<rpc::LoopbackTransport> rpc_transport_;
   std::unique_ptr<rpc::Client> rpc_client_;
-  /// Queries of the current step awaiting the batched drain.
+  /// Queries awaiting their server contact: at most one in a sequential
+  /// run, the current step's in a batched one.
   std::vector<PendingQuery> deferred_;
   std::unique_ptr<roadnet::Graph> graph_;
   std::unique_ptr<roadnet::Router> router_;
@@ -356,14 +370,6 @@ class Simulator {
   QueryTrace* trace_ = nullptr;
   obs::TraceSink* span_sink_ = nullptr;
   uint64_t span_sample_ = 1;
-  // Per-query metrics of the most recent ExecuteQuery (read by Run()).
-  double last_p2p_messages_ = 0.0;
-  double last_p2p_bytes_ = 0.0;
-  double last_latency_s_ = 0.0;
-  int last_retries_ = 0;
-  uint64_t last_transmissions_lost_ = 0;
-  uint64_t last_replies_missed_ = 0;
-  bool last_loss_induced_fallback_ = false;
   /// Sequence number of the executed query; names its "net" RNG stream.
   uint64_t query_seq_ = 0;
   // Scratch buffers reused across queries.

@@ -286,26 +286,74 @@ TEST(TcpPipelineTest, AdmissionControlShedsWithOverloaded) {
 // registry. Every write to it must go through the QueryService lock: under
 // TSan this is the test that sees a shed on one loop race an answer on the
 // other, and the counts must add up either way.
+//
+// Both outcomes are certain, not left to scheduling. A pipelined burst of
+// kBurstDepth > kCap requests arrives as one group (a single write, well
+// under one read), and a group larger than the cap is shed however idle the
+// engine is. Blocking single requests are groups of one, which only a burst
+// being shed at that instant can push over the cap; and each blocking client
+// gets its first answer before any burst is sent.
 TEST(TcpPipelineTest, ShedAndAnsweredCountsAgreeInOneRegistry) {
-  constexpr int kClients = 4;
+  constexpr size_t kCap = 48;
+  constexpr int kPipeliners = 2;
   constexpr int kBursts = 12;
-  constexpr int kDepth = 32;
+  constexpr int kBurstDepth = 128;
+  constexpr int kBlockers = 2;
+  constexpr int kBlockingRequests = 192;
+  static_assert(kBurstDepth > static_cast<int>(kCap));
 
   std::vector<core::Poi> pois = WorldPois();
   core::SpatialServer served(pois);
   obs::MetricsRegistry metrics;
   ServerOptions options;
   options.worker_threads = 2;
-  options.max_inflight_requests = 48;  // two bursts in the engine at once shed
+  options.max_inflight_requests = kCap;
   Server server(&served, options, &metrics);
   ASSERT_TRUE(server.Start().ok());
 
   std::atomic<int> failures{0};
   std::atomic<uint64_t> shed{0};
   std::atomic<uint64_t> answered{0};
+  std::atomic<int> blockers_answered_once{0};
+  // Counts one reply; false on a transport failure.
+  auto tally = [&](const Result<core::ServerReply>& reply) {
+    if (reply.ok()) {
+      ++answered;
+    } else if (reply.status().code() == Status::Code::kFailedPrecondition) {
+      ++shed;
+    } else {
+      ++failures;
+      return false;
+    }
+    return true;
+  };
+  auto request_at = [](Rng* rng) {
+    KnnRequest request;
+    request.q = {rng->Uniform(0, 1000), rng->Uniform(0, 1000)};
+    request.k = 4;
+    return request;
+  };
+
   std::vector<std::thread> clients;
-  for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([c, &server, &failures, &shed, &answered] {
+  for (int c = 0; c < kBlockers; ++c) {
+    clients.emplace_back([c, &server, &failures, &blockers_answered_once, &tally, &request_at] {
+      auto transport = ConnectTo(server);
+      if (!transport.ok()) {
+        ++failures;
+        ++blockers_answered_once;
+        return;
+      }
+      Client client(transport->get());
+      Rng rng = Rng(20060403).Stream("tcp/blocking", static_cast<uint64_t>(c));
+      for (int i = 0; i < kBlockingRequests; ++i) {
+        if (!tally(client.Knn(request_at(&rng)))) return;
+        if (i == 0) ++blockers_answered_once;
+      }
+    });
+  }
+  for (int c = 0; c < kPipeliners; ++c) {
+    clients.emplace_back([c, &server, &failures, &blockers_answered_once, &tally, &request_at] {
+      while (blockers_answered_once.load() < kBlockers) std::this_thread::yield();
       auto transport = ConnectTo(server);
       if (!transport.ok()) {
         ++failures;
@@ -315,26 +363,13 @@ TEST(TcpPipelineTest, ShedAndAnsweredCountsAgreeInOneRegistry) {
       Rng rng = Rng(20060403).Stream("tcp/shed", static_cast<uint64_t>(c));
       for (int burst = 0; burst < kBursts; ++burst) {
         std::vector<uint64_t> ids;
-        for (int d = 0; d < kDepth; ++d) {
-          KnnRequest request;
-          request.q = {rng.Uniform(0, 1000), rng.Uniform(0, 1000)};
-          request.k = 4;
-          ids.push_back(client.SendKnn(request));
-        }
+        for (int d = 0; d < kBurstDepth; ++d) ids.push_back(client.SendKnn(request_at(&rng)));
         if (!client.Flush().ok()) {
           ++failures;
           return;
         }
         for (uint64_t id : ids) {
-          Result<core::ServerReply> reply = client.Wait(id);
-          if (reply.ok()) {
-            ++answered;
-          } else if (reply.status().code() == Status::Code::kFailedPrecondition) {
-            ++shed;
-          } else {
-            ++failures;
-            return;
-          }
+          if (!tally(client.Wait(id))) return;
         }
       }
     });
@@ -343,7 +378,12 @@ TEST(TcpPipelineTest, ShedAndAnsweredCountsAgreeInOneRegistry) {
   server.Stop();
   EXPECT_EQ(failures.load(), 0);
 
-  const uint64_t sent = static_cast<uint64_t>(kClients) * kBursts * kDepth;
+  const uint64_t sent = static_cast<uint64_t>(kPipeliners) * kBursts * kBurstDepth +
+                        static_cast<uint64_t>(kBlockers) * kBlockingRequests;
+  RecordProperty("shed", static_cast<int>(shed.load()));
+  RecordProperty("answered", static_cast<int>(answered.load()));
+  EXPECT_GT(shed.load(), 0u);
+  EXPECT_GT(answered.load(), 0u);
   EXPECT_EQ(shed.load() + answered.load(), sent);
   EXPECT_EQ(server.counters().requests_shed, shed.load());
   EXPECT_EQ(metrics.counter("rpc/shed"), server.counters().requests_shed);
