@@ -24,11 +24,12 @@ int main(int argc, char** argv) {
     for (int i = 0; i < n; ++i) {
       tree.Insert({rng.Uniform(0, 10000), rng.Uniform(0, 10000)}, i);
     }
+    const rtree::PackedTree packed = rtree::Pack(tree);
     rtree::AccessCounter df, bf;
     for (int qi = 0; qi < queries; ++qi) {
       geom::Vec2 q{rng.Uniform(0, 10000), rng.Uniform(0, 10000)};
-      DepthFirstKnn(tree, q, k, &df);
-      BestFirstKnn(tree, q, k, {}, &bf);
+      DepthFirstKnn(packed, q, k, &df);
+      BestFirstKnn(packed, q, k, {}, &bf);
     }
     double dfq = static_cast<double>(df.total()) / queries;
     double bfq = static_cast<double>(bf.total()) / queries;

@@ -50,7 +50,7 @@ void BM_RangeQuery(benchmark::State& state) {
 BENCHMARK(BM_RangeQuery)->Arg(10000)->Arg(100000);
 
 void BM_BestFirstKnn(benchmark::State& state) {
-  rtree::RStarTree tree = BuildTree(static_cast<int>(state.range(0)), 4);
+  const rtree::PackedTree tree = rtree::Pack(BuildTree(static_cast<int>(state.range(0)), 4));
   Rng rng(5);
   for (auto _ : state) {
     geom::Vec2 q{rng.Uniform(0, 10000), rng.Uniform(0, 10000)};
@@ -60,7 +60,7 @@ void BM_BestFirstKnn(benchmark::State& state) {
 BENCHMARK(BM_BestFirstKnn)->Arg(10000)->Arg(100000);
 
 void BM_DepthFirstKnn(benchmark::State& state) {
-  rtree::RStarTree tree = BuildTree(static_cast<int>(state.range(0)), 4);
+  const rtree::PackedTree tree = rtree::Pack(BuildTree(static_cast<int>(state.range(0)), 4));
   Rng rng(5);
   for (auto _ : state) {
     geom::Vec2 q{rng.Uniform(0, 10000), rng.Uniform(0, 10000)};

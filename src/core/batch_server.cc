@@ -121,7 +121,7 @@ void BatchServer::AnswerCluster(const std::vector<BatchQuery>& queries,
                                 const std::vector<size_t>& members,
                                 std::vector<ServerReply>* replies,
                                 obs::QueryTracer* tracer, obs::MetricsRegistry* metrics) {
-  const rtree::RStarTree& tree = server_->tree();
+  const rtree::PackedTree& tree = server_->tree();
   storage::NodePager* pager = server_->mutable_pager();
   const rtree::AccessCountMode mode = server_->count_mode();
   const uint32_t m = static_cast<uint32_t>(members.size());
@@ -191,14 +191,14 @@ void BatchServer::AnswerCluster(const std::vector<BatchQuery>& queries,
   };
 
   // The shared node queue: min-over-wanting-queries MINDIST, equal keys in
-  // push order (node identity, i.e. the pointer, never enters the order).
+  // push order (node identity never enters the order).
   // Each item's push-time wanting queries live in `wanted_arena` at
   // [wanted_begin, wanted_begin + wanted_count), so a queued node costs no
   // allocation of its own.
   struct NodeItem {
     double key = 0.0;
     uint64_t seq = 0;
-    const rtree::RStarTree::Node* node = nullptr;
+    rtree::NodeId node = 0;
     geom::Mbr mbr;
     uint32_t wanted_begin = 0;
     uint32_t wanted_count = 0;
@@ -227,19 +227,18 @@ void BatchServer::AnswerCluster(const std::vector<BatchQuery>& queries,
   // attributed to the first wanting query, classified shared when >= 2
   // queries read it. Per-query misses therefore partition the cluster's
   // unique-page misses.
-  auto charge = [&](const rtree::RStarTree::Node* node,
-                    std::span<const uint32_t> wanted) {
-    return rtree::ChargeBatchNodeAccess(node, &pq[wanted.front()].out->einn_accesses,
+  auto charge = [&](rtree::NodeId node, std::span<const uint32_t> wanted) {
+    return rtree::ChargeBatchNodeAccess(tree, node, &pq[wanted.front()].out->einn_accesses,
                                         &cluster_counter, wanted.size() >= 2, pager);
   };
 
-  auto expand = [&](const rtree::RStarTree::Node* node,
-                    std::span<const uint32_t> wanted) {
-    for (const rtree::RStarTree::Slot& s : node->slots) {
-      if (node->IsLeaf()) {
+  auto expand = [&](rtree::NodeId id, std::span<const uint32_t> wanted) {
+    const rtree::PackedTree::Node& node = tree.node(id);
+    if (node.IsLeaf()) {
+      for (const rtree::ObjectEntry& o : tree.objects(node)) {
         for (uint32_t j : wanted) {
           PerQuery& p = pq[j];
-          double d = geom::Dist(p.in->q, s.object.position);
+          double d = geom::Dist(p.in->q, o.position);
           // Lower-bound-known objects feed the dynamic bound but are never
           // reported — including the boundary id-cut rule of the sequential
           // iterator (knn.cc): a co-distant object past the client's rank
@@ -249,7 +248,7 @@ void BatchServer::AnswerCluster(const std::vector<BatchQuery>& queries,
                // senn-lint: allow(L5-float-eq): bit-exact boundary tie —
                // the client's lower bound is a cached radius from the same
                // Dist() chain; same rule as the sequential EINN leaf scan.
-               (d == *p.in->bounds.lower && s.object.id <= p.in->bounds.lower_id_cut))) {
+               (d == *p.in->bounds.lower && o.id <= p.in->bounds.lower_id_cut))) {
             feed(p, d);
             continue;
           }
@@ -257,39 +256,41 @@ void BatchServer::AnswerCluster(const std::vector<BatchQuery>& queries,
           feed(p, d);
           if (p.needed <= 0) continue;
           if (static_cast<int>(p.cand.size()) < p.needed) {
-            p.cand.push_back({s.object, d});
+            p.cand.push_back({o, d});
             std::push_heap(p.cand.begin(), p.cand.end(), by_rank);
-          } else if (RanksBefore(d, s.object.id, p.cand.front().distance,
+          } else if (RanksBefore(d, o.id, p.cand.front().distance,
                                  p.cand.front().object.id)) {
             std::pop_heap(p.cand.begin(), p.cand.end(), by_rank);
-            p.cand.back() = {s.object, d};
+            p.cand.back() = {o, d};
             std::push_heap(p.cand.begin(), p.cand.end(), by_rank);
           }
         }
-      } else {
-        NodeItem item;
-        item.node = s.child.get();
-        item.mbr = s.mbr;
-        item.wanted_begin = static_cast<uint32_t>(wanted_arena.size());
-        double key = kInf;
-        for (uint32_t j : wanted) {
-          const double mindist = s.mbr.MinDist(pq[j].in->q);
-          if (!wants_node(pq[j], s.mbr, mindist)) continue;
-          wanted_arena.push_back(j);
-          key = std::min(key, mindist);
-        }
-        item.wanted_count = static_cast<uint32_t>(wanted_arena.size()) - item.wanted_begin;
-        if (item.wanted_count == 0) continue;
-        item.key = key;
-        item.seq = push_seq++;
-        if (mode == rtree::AccessCountMode::kOnEnqueue) {
-          // Enqueue accounting fetches the child as it enters the queue;
-          // the pin is transient (expansion reads the queued copy).
-          if (charge(item.node, wanted_of(item))) pager->Unpin(item.node);
-        }
-        queue.push_back(item);
-        std::push_heap(queue.begin(), queue.end(), NodeGreater{});
       }
+      return;
+    }
+    for (const rtree::PackedTree::Branch& b : tree.branches(node)) {
+      NodeItem item;
+      item.node = b.child;
+      item.mbr = b.mbr;
+      item.wanted_begin = static_cast<uint32_t>(wanted_arena.size());
+      double key = kInf;
+      for (uint32_t j : wanted) {
+        const double mindist = b.mbr.MinDist(pq[j].in->q);
+        if (!wants_node(pq[j], b.mbr, mindist)) continue;
+        wanted_arena.push_back(j);
+        key = std::min(key, mindist);
+      }
+      item.wanted_count = static_cast<uint32_t>(wanted_arena.size()) - item.wanted_begin;
+      if (item.wanted_count == 0) continue;
+      item.key = key;
+      item.seq = push_seq++;
+      if (mode == rtree::AccessCountMode::kOnEnqueue) {
+        // Enqueue accounting fetches the child as it enters the queue;
+        // the pin is transient (expansion reads the queued copy).
+        if (charge(item.node, wanted_of(item))) pager->Unpin(item.node);
+      }
+      queue.push_back(item);
+      std::push_heap(queue.begin(), queue.end(), NodeGreater{});
     }
   };
 
@@ -300,9 +301,9 @@ void BatchServer::AnswerCluster(const std::vector<BatchQuery>& queries,
   // The root is always fetched once for the cluster, in both accounting
   // modes — the batch mirror of the sequential constructor's root charge.
   {
-    const bool pinned = charge(tree.root(), live);
-    expand(tree.root(), live);
-    if (pinned) pager->Unpin(tree.root());
+    const bool pinned = charge(rtree::PackedTree::root(), live);
+    expand(rtree::PackedTree::root(), live);
+    if (pinned) pager->Unpin(rtree::PackedTree::root());
   }
 
   while (!queue.empty()) {

@@ -22,32 +22,33 @@ const char* RangeResolutionName(RangeResolution r) {
 RangeProcessor::RangeProcessor(SpatialServer* server, RangeOptions options)
     : server_(server), options_(options) {}
 
-std::vector<RankedPoi> PrunedCircleQuery(const rtree::RStarTree& tree, geom::Vec2 q,
+std::vector<RankedPoi> PrunedCircleQuery(const rtree::PackedTree& tree, geom::Vec2 q,
                                          double radius, double inner,
                                          rtree::AccessCounter* counter,
                                          rtree::NodePageHook* hook) {
   std::vector<RankedPoi> out;
-  std::vector<const rtree::RStarTree::Node*> stack{tree.root()};
+  std::vector<rtree::NodeId> stack{rtree::PackedTree::root()};
   while (!stack.empty()) {
-    const rtree::RStarTree::Node* node = stack.back();
+    const rtree::NodeId id = stack.back();
     stack.pop_back();
-    const bool pinned = rtree::ChargeNodeAccess(node, counter, hook);
-    for (const rtree::RStarTree::Slot& s : node->slots) {
-      if (node->IsLeaf()) {
-        double d = geom::Dist(q, s.object.position);
+    const bool pinned = rtree::ChargeNodeAccess(tree, id, counter, hook);
+    const rtree::PackedTree::Node& node = tree.node(id);
+    if (node.IsLeaf()) {
+      for (const rtree::ObjectEntry& o : tree.objects(node)) {
+        double d = geom::Dist(q, o.position);
         // The inner exclusion is strict (POIs exactly at the certain radius
         // are the client's own boundary neighbors), but an inner of 0 means
         // "nothing known" and must not drop a POI at the query point itself.
-        if (d <= radius && (inner <= 0.0 || d > inner)) {
-          out.push_back({s.object.id, s.object.position, d});
-        }
-      } else {
-        if (s.mbr.MinDist(q) > radius) continue;        // fully outside
-        if (s.mbr.MaxDist(q) < inner) continue;         // fully known already
-        stack.push_back(s.child.get());
+        if (d <= radius && (inner <= 0.0 || d > inner)) out.push_back({o.id, o.position, d});
+      }
+    } else {
+      for (const rtree::PackedTree::Branch& b : tree.branches(node)) {
+        if (b.mbr.MinDist(q) > radius) continue;  // fully outside
+        if (b.mbr.MaxDist(q) < inner) continue;   // fully known already
+        stack.push_back(b.child);
       }
     }
-    if (pinned) hook->Unpin(node);
+    if (pinned) hook->Unpin(id);
   }
   std::sort(out.begin(), out.end(),
             [](const RankedPoi& a, const RankedPoi& b) { return RanksBefore(a, b); });

@@ -20,7 +20,7 @@
 #include "src/core/server.h"
 #include "src/core/types.h"
 #include "src/geom/circle.h"
-#include "src/rtree/rstar_tree.h"
+#include "src/rtree/packed_tree.h"
 
 namespace senn::core {
 
@@ -76,9 +76,9 @@ class RangeProcessor {
 /// disk (MAXDIST < inner) or fully outside the query disk (MINDIST >
 /// radius). Exposed for tests and the server facade. When `hook` is set the
 /// scan fetches each visited node through the storage engine (pinning the
-/// page for the duration of the slot scan), and the counter additionally
+/// page for the duration of the entry scan), and the counter additionally
 /// records physical misses.
-std::vector<RankedPoi> PrunedCircleQuery(const rtree::RStarTree& tree, geom::Vec2 q,
+std::vector<RankedPoi> PrunedCircleQuery(const rtree::PackedTree& tree, geom::Vec2 q,
                                          double radius, double inner,
                                          rtree::AccessCounter* counter = nullptr,
                                          rtree::NodePageHook* hook = nullptr);

@@ -13,15 +13,16 @@ namespace senn::core {
 SpatialServer::SpatialServer(std::vector<Poi> pois, rtree::RStarTree::Options tree_options,
                              rtree::AccessCountMode count_mode,
                              std::optional<storage::BufferPoolOptions> storage)
-    : poi_count_(pois.size()), tree_(tree_options), count_mode_(count_mode) {
+    : poi_count_(pois.size()), count_mode_(count_mode) {
   // Static POI sets are packed with STR: tighter leaves and much faster
   // construction than one-at-a-time insertion for county-scale data. The
-  // tree is the only copy kept: the POIs are freed before the packing.
+  // tree is the only copy kept: the POIs are freed before the packing, and
+  // the sorted entries become the tree's leaf array.
   std::vector<rtree::ObjectEntry> entries;
   entries.reserve(pois.size());
   for (const Poi& poi : pois) entries.push_back({poi.position, poi.id});
   std::vector<Poi>().swap(pois);
-  tree_ = rtree::BulkLoad(std::move(entries), tree_options);
+  tree_ = rtree::BulkLoadPacked(std::move(entries), tree_options);
   if (storage.has_value()) {
     pager_ = std::make_unique<storage::NodePager>(&tree_, *storage);
   }
@@ -62,30 +63,19 @@ ServerReply SpatialServer::QueryKnnWithRegion(geom::Vec2 q, int k, double horizo
                                               const std::vector<geom::Circle>& region,
                                               obs::QueryTracer* tracer) {
   ServerReply reply;
+  if (k <= 0) {
+    // No rank to fill: an empty reply, and no page is read.
+    RecordAnsweredQuery(reply.einn_accesses);
+    return reply;
+  }
   // Best-first search with three pruning sources: the client's horizon (its
   // k-th candidate distance), the running k-th-best distance over ALL seen
   // objects (region-known ones included — they occupy result ranks on the
-  // client side), and region coverage of whole subtrees.
-  struct Item {
-    double key;
-    const rtree::RStarTree::Node* node;  // null for objects
-    RankedPoi poi;
-  };
-  // Same tie rule as BestFirstNnIterator: at equal key nodes pop before
-  // objects (a node with MINDIST == d may hide a co-distant smaller-id
-  // object), and co-distant objects pop in ascending id.
-  auto greater = [](const Item& a, const Item& b) {
-    // senn-lint: allow(L5-float-eq): strict-weak-order tie detection. Both
-    // keys come from the same MinDist/Dist code path, so "equal" means
-    // bit-identical, and exact ties must fall through to the id rules.
-    if (a.key != b.key) return a.key > b.key;
-    const bool a_object = a.node == nullptr;
-    const bool b_object = b.node == nullptr;
-    if (a_object != b_object) return a_object;
-    if (a_object) return a.poi.id > b.poi.id;
-    return false;
-  };
-  std::priority_queue<Item, std::vector<Item>, decltype(greater)> queue(greater);
+  // client side), and region coverage of whole subtrees. The queue is
+  // BestFirstNnIterator's, with its pop order.
+  std::priority_queue<rtree::BestFirstItem, std::vector<rtree::BestFirstItem>,
+                      rtree::BestFirstGreater>
+      queue{rtree::BestFirstGreater(&tree_)};
   std::priority_queue<double> best;  // max-heap of the k best seen distances
   auto effective_bound = [&]() {
     double bound = horizon;
@@ -106,44 +96,48 @@ ServerReply SpatialServer::QueryKnnWithRegion(geom::Vec2 q, int k, double horizo
     }
     return false;
   };
-  auto expand = [&](const rtree::RStarTree::Node* node) {
-    const bool pinned = rtree::ChargeNodeAccess(node, &reply.einn_accesses, pager_.get());
-    for (const rtree::RStarTree::Slot& s : node->slots) {
-      if (node->IsLeaf()) {
-        double d = geom::Dist(q, s.object.position);
+  auto expand = [&](rtree::NodeId id) {
+    const bool pinned =
+        rtree::ChargeNodeAccess(tree_, id, &reply.einn_accesses, pager_.get());
+    const rtree::PackedTree::Node& node = tree_.node(id);
+    if (node.IsLeaf()) {
+      for (uint32_t i = node.first; i < node.first + node.count; ++i) {
+        const rtree::ObjectEntry& o = tree_.object(i);
+        double d = geom::Dist(q, o.position);
         if (d > effective_bound()) continue;
         feed(d);
-        if (!in_region(s.object.position)) {
-          queue.push({d, nullptr, {s.object.id, s.object.position, d}});
-        }
-      } else {
-        if (s.mbr.MinDist(q) > effective_bound()) continue;
+        if (!in_region(o.position)) queue.push({d, i, false});
+      }
+    } else {
+      for (const rtree::PackedTree::Branch& b : tree_.branches(node)) {
+        if (b.mbr.MinDist(q) > effective_bound()) continue;
         // Region-covered subtrees contain only client-known POIs. Skip them
         // only once the dynamic bound is saturated: before that, reading
         // them feeds the bound with true nearby distances (skipping early
         // would widen the search and cost more than it saves).
         if (static_cast<int>(best.size()) >= k &&
-            geom::MbrCoveredByDiskUnion(s.mbr, region)) {
+            geom::MbrCoveredByDiskUnion(b.mbr, region)) {
           continue;
         }
-        queue.push({s.mbr.MinDist(q), s.child.get(), {}});
+        queue.push({b.mbr.MinDist(q), b.child, true});
       }
     }
-    if (pinned) pager_->Unpin(node);
+    if (pinned) pager_->Unpin(id);
   };
   {
     obs::ScopedSpan fetch(pager_ != nullptr ? tracer : nullptr, obs::Phase::kBufferFetch);
     const storage::BufferPoolStats before =
         fetch.active() ? pager_->pool().stats() : storage::BufferPoolStats{};
-    expand(tree_.root());
+    expand(rtree::PackedTree::root());
     while (!queue.empty()) {
-      Item item = queue.top();
-      if (item.key > effective_bound() && item.node != nullptr) break;
+      const rtree::BestFirstItem item = queue.top();
+      if (item.key > effective_bound() && item.is_node) break;
       queue.pop();
-      if (item.node != nullptr) {
-        expand(item.node);
+      if (item.is_node) {
+        expand(item.index);
       } else {
-        reply.neighbors.push_back(item.poi);
+        const rtree::ObjectEntry& o = tree_.object(item.index);
+        reply.neighbors.push_back({o.id, o.position, item.key});
         if (static_cast<int>(reply.neighbors.size()) >= k) break;  // plenty for the merge
       }
     }

@@ -22,6 +22,7 @@
 #include "src/geom/circle.h"
 #include "src/geom/vec2.h"
 #include "src/rtree/knn.h"
+#include "src/rtree/packed_tree.h"
 #include "src/rtree/rstar_tree.h"
 #include "src/storage/node_pager.h"
 
@@ -52,13 +53,16 @@ struct ServerReply {
   bool operator==(const ServerReply&) const = default;
 };
 
-/// The spatial database server. The R*-tree is its only copy of the POI
-/// set: the constructor consumes `pois` and keeps just their count.
+/// The spatial database server. The packed R*-tree (rtree/packed_tree.h)
+/// is its only copy of the POI set: the constructor consumes `pois` and
+/// keeps just their count. A server stays where it was built (no copy, no
+/// move): its storage engine points at its tree.
 class SpatialServer {
  public:
-  /// Builds the R*-tree over the POI set. `tree_options` defaults to the
-  /// paper's branching factor of 30. Pass the POIs by move to spare a copy;
-  /// they are freed before the tree is packed.
+  /// Builds the R*-tree over the POI set with STR, straight into the packed
+  /// layout. `tree_options` defaults to the paper's branching factor of 30.
+  /// Pass the POIs by move to spare a copy; they are freed before the tree
+  /// is packed.
   ///
   /// `storage`, when given, puts a paged storage engine (src/storage/)
   /// under the tree: every answering traversal (EINN, the pruned range
@@ -69,6 +73,8 @@ class SpatialServer {
                          rtree::RStarTree::Options tree_options = DefaultTreeOptions(),
                          rtree::AccessCountMode count_mode = rtree::AccessCountMode::kOnExpand,
                          std::optional<storage::BufferPoolOptions> storage = std::nullopt);
+  SpatialServer(const SpatialServer&) = delete;
+  SpatialServer& operator=(const SpatialServer&) = delete;
 
   static rtree::RStarTree::Options DefaultTreeOptions() {
     rtree::RStarTree::Options o;
@@ -96,8 +102,8 @@ class SpatialServer {
   /// (region-known ones count: they occupy client-side result ranks), and
   /// whole subtrees covered by the region (geom::MbrCoveredByDiskUnion).
   /// At most k POIs are returned — enough for the client to merge with its
-  /// known set and take the exact top k. `einn_accesses` holds the pruned
-  /// search's pages.
+  /// known set and take the exact top k; k <= 0 returns none and reads no
+  /// page. `einn_accesses` holds the pruned search's pages.
   ServerReply QueryKnnWithRegion(geom::Vec2 q, int k, double horizon,
                                  const std::vector<geom::Circle>& region,
                                  obs::QueryTracer* tracer = nullptr);
@@ -116,7 +122,7 @@ class SpatialServer {
   rtree::AccessCounter InnBaseline(geom::Vec2 q, int k) const;
 
   size_t poi_count() const { return poi_count_; }
-  const rtree::RStarTree& tree() const { return tree_; }
+  const rtree::PackedTree& tree() const { return tree_; }
   const ServerStats& stats() const { return stats_; }
   rtree::AccessCountMode count_mode() const { return count_mode_; }
   /// The paged storage engine, or null when the server runs in-memory.
@@ -138,7 +144,7 @@ class SpatialServer {
 
  private:
   size_t poi_count_;
-  rtree::RStarTree tree_;
+  rtree::PackedTree tree_;
   rtree::AccessCountMode count_mode_;
   std::unique_ptr<storage::NodePager> pager_;
   ServerStats stats_;

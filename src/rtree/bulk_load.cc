@@ -2,32 +2,23 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
+#include <cstdint>
+#include <span>
 
 namespace senn::rtree {
 
 namespace {
 
-using Node = RStarTree::Node;
-using Slot = RStarTree::Slot;
+using Branch = PackedTree::Branch;
 
-// An upper-level item: a packed child and its MBR.
-struct Branch {
-  geom::Mbr mbr;
-  std::unique_ptr<Node> child;
+// A packed node before preorder numbering: a run of its level's items.
+struct Run {
+  uint32_t first = 0;
+  uint32_t count = 0;
 };
 
 geom::Vec2 CenterOf(const ObjectEntry& o) { return geom::Mbr::OfPoint(o.position).Center(); }
 geom::Vec2 CenterOf(const Branch& b) { return b.mbr.Center(); }
-
-void Place(const ObjectEntry& o, Node* leaf) {
-  leaf->slots.push_back({geom::Mbr::OfPoint(o.position), nullptr, o});
-}
-
-void Place(Branch& b, Node* parent) {
-  b.child->parent = parent;
-  parent->slots.push_back({b.mbr, std::move(b.child), {}});
-}
 
 // Splits `count` items into groups of at most `cap`, rebalancing the tail so
 // every group has at least `min_size` (requires cap >= 2 * min_size, which
@@ -48,13 +39,13 @@ std::vector<size_t> GroupSizes(size_t count, size_t cap, size_t min_size) {
   return sizes;
 }
 
-// Packs `items` (all at the same level) into nodes at `level` with STR:
-// sort by center x, slice, sort slices by center y, emit runs. Items are
-// ObjectEntry at the leaf level and Branch above, so every level goes
-// through this one packer; the items are consumed.
+// Packs `items` (all at the same level) into nodes with STR: sort by center
+// x, slice, sort slices by center y, cut runs. Items are ObjectEntry at the
+// leaf level and Branch above, so every level goes through this one packer.
+// The items are sorted in place; each returned run is one node, in packing
+// order.
 template <typename Item>
-std::vector<std::unique_ptr<Node>> PackLevel(std::vector<Item> items, int level,
-                                             const RStarTree::Options& options) {
+std::vector<Run> PackLevel(std::vector<Item>& items, const RStarTree::Options& options) {
   const size_t cap = static_cast<size_t>(options.max_entries);
   const size_t min_size = static_cast<size_t>(options.min_entries);
   const size_t n = items.size();
@@ -64,13 +55,15 @@ std::vector<std::unique_ptr<Node>> PackLevel(std::vector<Item> items, int level,
   const size_t slice_size = (n + slices - 1) / slices;
 
   // Stable: co-located items keep their input order (object input order at
-  // the leaf level, child preorder above), so the packing is a pure function
-  // of the input sequence even for duplicate coordinates (lattice worlds).
+  // the leaf level, child packing order above), so the packing is a pure
+  // function of the input sequence even for duplicate coordinates (lattice
+  // worlds).
   std::stable_sort(items.begin(), items.end(), [](const Item& a, const Item& b) {
     return CenterOf(a).x < CenterOf(b).x;
   });
 
-  std::vector<std::unique_ptr<Node>> nodes;
+  std::vector<Run> runs;
+  runs.reserve(node_count);
   size_t begin = 0;
   while (begin < n) {
     size_t end = std::min(begin + slice_size, n);
@@ -83,46 +76,76 @@ std::vector<std::unique_ptr<Node>> PackLevel(std::vector<Item> items, int level,
                      });
     size_t cursor = begin;
     for (size_t take : GroupSizes(end - begin, cap, min_size)) {
-      auto node = std::make_unique<Node>();
-      node->level = level;
-      node->slots.reserve(take);
-      for (size_t i = 0; i < take; ++i) Place(items[cursor++], node.get());
-      nodes.push_back(std::move(node));
+      runs.push_back({static_cast<uint32_t>(cursor), static_cast<uint32_t>(take)});
+      cursor += take;
     }
     begin = end;
   }
-  return nodes;
+  return runs;
+}
+
+template <typename Item>
+std::span<const Item> Items(const std::vector<Item>& items, Run run) {
+  return std::span<const Item>(items).subspan(run.first, run.count);
 }
 
 }  // namespace
 
-RStarTree BulkLoad(std::vector<ObjectEntry> objects, RStarTree::Options options) {
-  RStarTree tree(options);
+PackedTree BulkLoadPacked(std::vector<ObjectEntry> objects, RStarTree::Options options) {
+  PackedTree tree;
+  tree.options_ = RStarTree::ClampOptions(options);
   const size_t n = objects.size();
-  if (n == 0) return tree;
   if (n <= static_cast<size_t>(tree.options_.max_entries)) {
-    for (const ObjectEntry& o : objects) tree.Insert(o.position, o.id);
+    // One leaf in input order: the tree n inserts build.
+    tree.nodes_.front().count = static_cast<uint32_t>(n);
+    tree.objects_ = std::move(objects);
     return tree;
   }
 
-  std::vector<std::unique_ptr<Node>> level =
-      PackLevel(std::move(objects), /*level=*/0, tree.options_);
-  // Upper levels until a single node remains.
-  while (level.size() > 1) {
-    std::vector<Branch> branches;
-    branches.reserve(level.size());
-    for (std::unique_ptr<Node>& node : level) {
-      geom::Mbr mbr = RStarTree::NodeMbr(*node);
-      branches.push_back({mbr, std::move(node)});
+  // runs[l] holds the level-l nodes in packing order; branches[l - 1] the
+  // sorted level-l items, whose `child` indexes runs[l - 1] until the
+  // preorder walk below renumbers it.
+  std::vector<std::vector<Run>> runs{PackLevel(objects, tree.options_)};
+  std::vector<std::vector<Branch>> branches;
+  while (runs.back().size() > 1) {
+    const std::vector<Run>& below = runs.back();
+    std::vector<Branch> items;
+    items.reserve(below.size());
+    for (size_t i = 0; i < below.size(); ++i) {
+      const geom::Mbr mbr = branches.empty() ? MbrOf(Items(objects, below[i]))
+                                             : MbrOf(Items(branches.back(), below[i]));
+      items.push_back({mbr, static_cast<NodeId>(i)});
     }
-    const int parent_level = branches.front().child->level + 1;
-    level = PackLevel(std::move(branches), parent_level, tree.options_);
+    runs.push_back(PackLevel(items, tree.options_));
+    branches.push_back(std::move(items));
   }
 
-  tree.root_ = std::move(level.front());
-  tree.root_->parent = nullptr;
-  tree.size_ = n;
+  // Preorder numbering (the NodePager's page order): a node's id is taken
+  // before its children's, and an index node's branches are laid out as one
+  // run, filled in as its children receive their ids.
+  tree.nodes_.clear();
+  auto emit = [&](auto& self, size_t level, uint32_t index) -> NodeId {
+    const Run run = runs[level][index];
+    const NodeId id = static_cast<NodeId>(tree.nodes_.size());
+    tree.nodes_.push_back({run.first, run.count, static_cast<int32_t>(level)});
+    if (level == 0) return id;
+    const uint32_t first = static_cast<uint32_t>(tree.branches_.size());
+    tree.nodes_[id].first = first;
+    tree.branches_.resize(first + run.count);
+    for (uint32_t i = 0; i < run.count; ++i) {
+      const Branch& src = branches[level - 1][run.first + i];
+      const NodeId child = self(self, level - 1, src.child);
+      tree.branches_[first + i] = {src.mbr, child};
+    }
+    return id;
+  };
+  emit(emit, runs.size() - 1, 0);
+  tree.objects_ = std::move(objects);
   return tree;
+}
+
+RStarTree BulkLoad(std::vector<ObjectEntry> objects, RStarTree::Options options) {
+  return Unpack(BulkLoadPacked(std::move(objects), options));
 }
 
 }  // namespace senn::rtree

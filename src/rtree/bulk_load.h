@@ -4,28 +4,35 @@
 // server's POI index for county-scale data sets, orders of magnitude faster
 // than one-at-a-time insertion and yielding tighter leaves.
 //
-// One packer serves every level. At the leaf level it stable-sorts the
-// 24-byte ObjectEntry items themselves, in place in the consumed input;
-// above, it sorts (MBR, child) pairs. Each node is allocated once, its slots
-// filled in final order. Besides the finished nodes, the temporary memory is
-// the input vector plus std::stable_sort's scratch buffer (n/2 entries in
-// libstdc++), both freed once the leaves are packed; each upper level needs
-// a few percent of that.
+// One packer serves every level and writes the packed layout
+// (rtree/packed_tree.h) directly. At the leaf level it stable-sorts the
+// 24-byte ObjectEntry items themselves, in place in the consumed input, and
+// that sorted vector becomes the packed tree's leaf array: a leaf is a run
+// of it. Above, it sorts (MBR, child) branches. A final preorder walk gives
+// every node its id and lays the index nodes' branches out in that order.
+// Besides the finished tree, the temporary memory is std::stable_sort's
+// scratch buffer (n/2 entries in libstdc++) plus the upper levels' branches,
+// a few percent of the leaf array.
 //
-// The resulting tree satisfies every RStarTree invariant (validated by
-// CheckInvariants in tests) and supports subsequent dynamic inserts and
-// removals.
+// The resulting tree satisfies every PackedTree invariant; BulkLoad unpacks
+// the same tree into pointer nodes, which satisfy every RStarTree invariant
+// and support subsequent dynamic inserts and removals.
 #pragma once
 
 #include <vector>
 
+#include "src/rtree/packed_tree.h"
 #include "src/rtree/rstar_tree.h"
 
 namespace senn::rtree {
 
-/// Builds a tree over `objects` with STR packing. The input vector is
-/// consumed (sorted in place, then freed). Duplicate positions are allowed;
-/// co-located objects keep their input order.
+/// Builds a packed tree over `objects` with STR packing. The input vector
+/// is consumed: sorted in place, it becomes the leaf array. Duplicate
+/// positions are allowed; co-located objects keep their input order.
+PackedTree BulkLoadPacked(std::vector<ObjectEntry> objects,
+                          RStarTree::Options options = RStarTree::Options());
+
+/// The same STR tree as mutable pointer nodes: Unpack(BulkLoadPacked(...)).
 RStarTree BulkLoad(std::vector<ObjectEntry> objects,
                    RStarTree::Options options = RStarTree::Options());
 

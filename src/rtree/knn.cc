@@ -15,9 +15,10 @@ namespace {
 // Recursive depth-first branch-and-bound. `heap` holds the current best k
 // distances as a max-heap; prune subtrees whose MINDIST exceeds the current
 // k-th distance.
-void DfVisit(const RStarTree::Node* node, Vec2 query, int k,
+void DfVisit(const PackedTree& tree, NodeId node_id, Vec2 query, int k,
              std::vector<Neighbor>* best, AccessCounter* counter, NodePageHook* hook) {
-  const bool pinned = ChargeNodeAccess(node, counter, hook);
+  const bool pinned = ChargeNodeAccess(tree, node_id, counter, hook);
+  const PackedTree::Node& node = tree.node(node_id);
   auto worst_distance = [&]() {
     return static_cast<int>(best->size()) < k
                ? std::numeric_limits<double>::infinity()
@@ -32,66 +33,68 @@ void DfVisit(const RStarTree::Node* node, Vec2 query, int k,
     return static_cast<int>(best->size()) < k ||
            senn::RanksBefore(d, id, best->front().distance, best->front().object.id);
   };
-  if (node->IsLeaf()) {
-    for (const RStarTree::Slot& s : node->slots) {
-      double d = geom::Dist(query, s.object.position);
-      if (!beats_worst(d, s.object.id)) continue;
+  if (node.IsLeaf()) {
+    for (const ObjectEntry& o : tree.objects(node)) {
+      double d = geom::Dist(query, o.position);
+      if (!beats_worst(d, o.id)) continue;
       if (static_cast<int>(best->size()) == k) {
         std::pop_heap(best->begin(), best->end(), by_rank);
         best->pop_back();
       }
-      best->push_back({s.object, d});
+      best->push_back({o, d});
       std::push_heap(best->begin(), best->end(), by_rank);
     }
-    if (pinned) hook->Unpin(node);
+    if (pinned) hook->Unpin(node_id);
     return;
   }
   // Visit children in MINDIST order (the classic heuristic) and prune with
   // the running k-th distance.
-  std::vector<std::pair<double, const RStarTree::Node*>> children;
-  children.reserve(node->slots.size());
-  for (const RStarTree::Slot& s : node->slots) {
-    children.emplace_back(s.mbr.MinDist(query), s.child.get());
+  std::vector<std::pair<double, NodeId>> children;
+  children.reserve(node.count);
+  for (const PackedTree::Branch& b : tree.branches(node)) {
+    children.emplace_back(b.mbr.MinDist(query), b.child);
   }
-  // The node's slots are fully read into `children`; unpin before recursing
-  // so the depth-first path never holds more than one page pinned.
-  if (pinned) hook->Unpin(node);
+  // The node's entries are fully read into `children`; unpin before
+  // recursing so the depth-first path never holds more than one page pinned.
+  if (pinned) hook->Unpin(node_id);
   std::sort(children.begin(), children.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   for (const auto& [mindist, child] : children) {
     // Strict >: a child whose MINDIST ties the current k-th distance can
     // still hold a co-distant object with a smaller id that outranks it.
     if (mindist > worst_distance()) break;  // sorted: the rest are no better
-    DfVisit(child, query, k, best, counter, hook);
+    DfVisit(tree, child, query, k, best, counter, hook);
   }
 }
 
 }  // namespace
 
-std::vector<Neighbor> DepthFirstKnn(const RStarTree& tree, Vec2 query, int k,
+std::vector<Neighbor> DepthFirstKnn(const PackedTree& tree, Vec2 query, int k,
                                     AccessCounter* counter, NodePageHook* hook) {
   std::vector<Neighbor> best;  // max-heap by distance
   if (k <= 0) return best;
   best.reserve(static_cast<size_t>(k));
-  DfVisit(tree.root(), query, k, &best, counter, hook);
+  DfVisit(tree, PackedTree::root(), query, k, &best, counter, hook);
   std::sort(best.begin(), best.end(), [](const Neighbor& a, const Neighbor& b) {
     return senn::RanksBefore(a.distance, a.object.id, b.distance, b.object.id);
   });
   return best;
 }
 
-BestFirstNnIterator::BestFirstNnIterator(const RStarTree& tree, Vec2 query,
+BestFirstNnIterator::BestFirstNnIterator(const PackedTree& tree, Vec2 query,
                                          PruneBounds bounds, AccessCountMode count_mode,
                                          std::optional<int> prune_to_k, NodePageHook* hook)
-    : query_(query),
+    : tree_(&tree),
+      query_(query),
       bounds_(bounds),
       count_mode_(count_mode),
       prune_to_k_(prune_to_k),
-      hook_(hook) {
+      hook_(hook),
+      queue_(BestFirstGreater(&tree)) {
   // The root page is always fetched (in both accounting modes).
-  const bool pinned = ChargeNodeAccess(tree.root(), &accesses_, hook_);
-  ExpandNode(tree.root());
-  if (pinned) hook_->Unpin(tree.root());
+  const bool pinned = ChargeNodeAccess(tree, PackedTree::root(), &accesses_, hook_);
+  ExpandNode(PackedTree::root());
+  if (pinned) hook_->Unpin(PackedTree::root());
 }
 
 void BestFirstNnIterator::FeedDynamicBound(double distance) {
@@ -116,13 +119,15 @@ double BestFirstNnIterator::EffectiveUpper() const {
   return upper;
 }
 
-void BestFirstNnIterator::ExpandNode(const RStarTree::Node* node) {
+void BestFirstNnIterator::ExpandNode(NodeId id) {
   // Accesses are charged by the caller: the constructor for the root, and
   // Next() (kOnExpand) or the enqueue site below (kOnEnqueue) otherwise, so
-  // the page stays pinned exactly while the slots are read here.
-  for (const RStarTree::Slot& s : node->slots) {
-    if (node->IsLeaf()) {
-      double d = geom::Dist(query_, s.object.position);
+  // the page stays pinned exactly while the entries are read here.
+  const PackedTree::Node& node = tree_->node(id);
+  if (node.IsLeaf()) {
+    for (uint32_t i = node.first; i < node.first + node.count; ++i) {
+      const ObjectEntry& o = tree_->object(i);
+      double d = geom::Dist(query_, o.position);
       // Objects inside the certain disk are already known to the client;
       // they still witness the dynamic top-k bound. On the disk's boundary
       // the client holds only the ids up to its rank cut — a co-distant
@@ -133,51 +138,51 @@ void BestFirstNnIterator::ExpandNode(const RStarTree::Node* node) {
            // senn-lint: allow(L5-float-eq): bit-exact boundary tie — the
            // client's lower bound is the cached radius from the same Dist()
            // chain, and the id cut keeps co-distant tie-losers reportable.
-           (d == *bounds_.lower && s.object.id <= bounds_.lower_id_cut))) {
+           (d == *bounds_.lower && o.id <= bounds_.lower_id_cut))) {
         FeedDynamicBound(d);
         continue;
       }
       if (d > EffectiveUpper()) continue;
       FeedDynamicBound(d);
-      queue_.push({d, nullptr, s.object});
-    } else {
-      double mindist = s.mbr.MinDist(query_);
-      // Upward pruning: the true kNN all lie within the upper bound (the
-      // shipped client bound and/or the running k-th-best distance).
-      if (mindist > EffectiveUpper()) continue;
-      // Downward pruning: MBRs fully inside the certain disk C_r contain
-      // only POIs the client has already verified.
-      if (bounds_.lower.has_value() && s.mbr.MaxDist(query_) < *bounds_.lower) continue;
-      if (count_mode_ == AccessCountMode::kOnEnqueue) {
-        // Enqueue accounting fetches the child page as it enters the queue;
-        // the pin is transient (expansion later reads the queued copy).
-        if (ChargeNodeAccess(s.child.get(), &accesses_, hook_)) {
-          hook_->Unpin(s.child.get());
-        }
-      }
-      queue_.push({mindist, s.child.get(), ObjectEntry{}});
+      queue_.push({d, i, false});
     }
+    return;
+  }
+  for (const PackedTree::Branch& b : tree_->branches(node)) {
+    double mindist = b.mbr.MinDist(query_);
+    // Upward pruning: the true kNN all lie within the upper bound (the
+    // shipped client bound and/or the running k-th-best distance).
+    if (mindist > EffectiveUpper()) continue;
+    // Downward pruning: MBRs fully inside the certain disk C_r contain
+    // only POIs the client has already verified.
+    if (bounds_.lower.has_value() && b.mbr.MaxDist(query_) < *bounds_.lower) continue;
+    if (count_mode_ == AccessCountMode::kOnEnqueue) {
+      // Enqueue accounting fetches the child page as it enters the queue;
+      // the pin is transient (expansion later reads the queued copy).
+      if (ChargeNodeAccess(*tree_, b.child, &accesses_, hook_)) hook_->Unpin(b.child);
+    }
+    queue_.push({mindist, b.child, true});
   }
 }
 
 std::optional<Neighbor> BestFirstNnIterator::Next() {
   while (!queue_.empty()) {
-    QueueItem item = queue_.top();
+    const BestFirstItem item = queue_.top();
     queue_.pop();
-    if (item.node == nullptr) return Neighbor{item.object, item.key};
+    if (!item.is_node) return Neighbor{tree_->object(item.index), item.key};
     // Only non-root nodes reach the queue, so charging every expansion here
     // matches the historical "root at init, others on expand" counting.
     bool pinned = false;
     if (count_mode_ == AccessCountMode::kOnExpand) {
-      pinned = ChargeNodeAccess(item.node, &accesses_, hook_);
+      pinned = ChargeNodeAccess(*tree_, item.index, &accesses_, hook_);
     }
-    ExpandNode(item.node);
-    if (pinned) hook_->Unpin(item.node);
+    ExpandNode(item.index);
+    if (pinned) hook_->Unpin(item.index);
   }
   return std::nullopt;
 }
 
-std::vector<Neighbor> BestFirstKnn(const RStarTree& tree, Vec2 query, int k,
+std::vector<Neighbor> BestFirstKnn(const PackedTree& tree, Vec2 query, int k,
                                    PruneBounds bounds, AccessCounter* counter,
                                    NodePageHook* hook) {
   std::vector<Neighbor> out;

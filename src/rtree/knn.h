@@ -1,4 +1,5 @@
-// Nearest-neighbor search algorithms over the R*-tree.
+// Nearest-neighbor search algorithms over the packed R*-tree
+// (rtree/packed_tree.h).
 //
 //  * DepthFirstKnn    — branch-and-bound kNN (Roussopoulos, Kelley, Vincent,
 //                       SIGMOD 1995); the single-step baseline.
@@ -28,6 +29,7 @@
 #include <vector>
 
 #include "src/geom/vec2.h"
+#include "src/rtree/packed_tree.h"
 #include "src/rtree/rstar_tree.h"
 
 namespace senn::rtree {
@@ -40,7 +42,7 @@ struct Neighbor {
 
 /// When a node access is charged during best-first search.
 ///
-///  * kOnExpand  — a node is charged when it is popped and its slots are
+///  * kOnExpand  — a node is charged when it is popped and its entries are
 ///    read (the I/O-minimal accounting; best-first reads exactly the nodes
 ///    it must).
 ///  * kOnEnqueue — a node is charged when it is placed on the priority
@@ -77,12 +79,45 @@ struct PruneBounds {
 /// Returns the k nearest objects to `query` in ascending distance order
 /// using depth-first branch-and-bound. Counts node accesses into `counter`
 /// when provided; `hook` routes each access through the storage engine
-/// (pages are pinned only while a node's slots are read, so the traversal
+/// (pages are pinned only while a node's entries are read, so the traversal
 /// needs a single free frame). Returns fewer than k when the tree is
 /// smaller than k.
-std::vector<Neighbor> DepthFirstKnn(const RStarTree& tree, geom::Vec2 query, int k,
+std::vector<Neighbor> DepthFirstKnn(const PackedTree& tree, geom::Vec2 query, int k,
                                     AccessCounter* counter = nullptr,
                                     NodePageHook* hook = nullptr);
+
+/// One best-first queue entry: a node, or an object found in a leaf.
+struct BestFirstItem {
+  double key = 0.0;    // MINDIST for nodes, distance for objects
+  uint32_t index = 0;  // the NodeId of a node; an object's leaf-array index
+  bool is_node = false;
+};
+
+/// The best-first pop order, as a std::priority_queue "greater": ascending
+/// key; at equal key nodes before objects, and co-distant objects in
+/// ascending id. Nodes of equal key compare equal: their pop order is a
+/// deterministic function of the push sequence.
+class BestFirstGreater {
+ public:
+  explicit BestFirstGreater(const PackedTree* tree) : tree_(tree) {}
+  bool operator()(const BestFirstItem& a, const BestFirstItem& b) const {
+    // senn-lint: allow(L5-float-eq): strict-weak-order tie detection —
+    // keys from the same MinDist/Dist path tie only when bit-identical,
+    // and exact ties must reach the node/object and id rules below.
+    if (a.key != b.key) return a.key > b.key;
+    // At equal key a node must pop before an object: its MINDIST equals
+    // the object's distance, so it may still contain a co-distant object
+    // of smaller id. Co-distant objects pop in ascending id, making the
+    // reported neighbor sequence follow the system (distance, id) rank
+    // order.
+    if (a.is_node != b.is_node) return b.is_node;
+    if (!a.is_node) return tree_->object(a.index).id > tree_->object(b.index).id;
+    return false;
+  }
+
+ private:
+  const PackedTree* tree_;
+};
 
 /// Incremental best-first nearest-neighbor iterator (INN), optionally with
 /// EINN pruning bounds. Next() reports objects in non-decreasing distance.
@@ -102,10 +137,10 @@ class BestFirstNnIterator {
   /// tightened may still be reported afterwards.
   /// `hook`, when attached, routes every charged access through the paged
   /// storage engine. In kOnExpand mode the node's page is pinned while its
-  /// slots are read; in kOnEnqueue mode the pin is transient at enqueue
+  /// entries are read; in kOnEnqueue mode the pin is transient at enqueue
   /// time (the accounting style fetches a node when it enters the queue,
   /// and expansion reads the queued copy).
-  BestFirstNnIterator(const RStarTree& tree, geom::Vec2 query, PruneBounds bounds = {},
+  BestFirstNnIterator(const PackedTree& tree, geom::Vec2 query, PruneBounds bounds = {},
                       AccessCountMode count_mode = AccessCountMode::kOnExpand,
                       std::optional<int> prune_to_k = std::nullopt,
                       NodePageHook* hook = nullptr);
@@ -118,37 +153,13 @@ class BestFirstNnIterator {
   const AccessCounter& accesses() const { return accesses_; }
 
  private:
-  struct QueueItem {
-    double key;                   // MINDIST for nodes, distance for objects
-    const RStarTree::Node* node;  // null for object items
-    ObjectEntry object;
-  };
-  struct Greater {
-    bool operator()(const QueueItem& a, const QueueItem& b) const {
-      // senn-lint: allow(L5-float-eq): strict-weak-order tie detection —
-      // keys from the same MinDist/Dist path tie only when bit-identical,
-      // and exact ties must reach the node/object and id rules below.
-      if (a.key != b.key) return a.key > b.key;
-      // At equal key a node must pop before an object: its MINDIST equals
-      // the object's distance, so it may still contain a co-distant object
-      // of smaller id. Co-distant objects pop in ascending id, making the
-      // reported neighbor sequence follow the system (distance, id) rank
-      // order. Nodes compare equal — their pop order is the deterministic
-      // push order (never compare pointers: heap addresses vary per run).
-      const bool a_object = a.node == nullptr;
-      const bool b_object = b.node == nullptr;
-      if (a_object != b_object) return a_object;
-      if (a_object) return a.object.id > b.object.id;
-      return false;
-    }
-  };
-
-  void ExpandNode(const RStarTree::Node* node);
+  void ExpandNode(NodeId id);
   /// Records an object distance into the dynamic top-k bound.
   void FeedDynamicBound(double distance);
   /// The tightest known upper limit on distances worth exploring.
   double EffectiveUpper() const;
 
+  const PackedTree* tree_;
   geom::Vec2 query_;
   PruneBounds bounds_;
   AccessCountMode count_mode_;
@@ -156,12 +167,12 @@ class BestFirstNnIterator {
   NodePageHook* hook_ = nullptr;
   // Max-heap of the best prune_to_k_ object distances discovered so far.
   std::priority_queue<double> best_distances_;
-  std::priority_queue<QueueItem, std::vector<QueueItem>, Greater> queue_;
+  std::priority_queue<BestFirstItem, std::vector<BestFirstItem>, BestFirstGreater> queue_;
   AccessCounter accesses_;
 };
 
 /// Convenience wrapper: the first k results of the (E)INN iterator.
-std::vector<Neighbor> BestFirstKnn(const RStarTree& tree, geom::Vec2 query, int k,
+std::vector<Neighbor> BestFirstKnn(const PackedTree& tree, geom::Vec2 query, int k,
                                    PruneBounds bounds = {}, AccessCounter* counter = nullptr,
                                    NodePageHook* hook = nullptr);
 

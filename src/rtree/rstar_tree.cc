@@ -11,11 +11,15 @@ using geom::Vec2;
 
 RStarTree::RStarTree() : RStarTree(Options{}) {}
 
-RStarTree::RStarTree(Options options) : options_(options), root_(std::make_unique<Node>()) {
+RStarTree::RStarTree(Options options)
+    : options_(ClampOptions(options)), root_(std::make_unique<Node>()) {}
+
+RStarTree::Options RStarTree::ClampOptions(Options options) {
   // Clamp pathological configurations rather than failing: the tree is a
   // substrate and every caller wants a working index.
-  options_.max_entries = std::max(options_.max_entries, 4);
-  options_.min_entries = std::clamp(options_.min_entries, 2, options_.max_entries / 2);
+  options.max_entries = std::max(options.max_entries, 4);
+  options.min_entries = std::clamp(options.min_entries, 2, options.max_entries / 2);
+  return options;
 }
 
 RStarTree::~RStarTree() = default;
@@ -372,12 +376,12 @@ void RStarTree::ReinsertSubtree(Slot slot, int level) {
 }
 
 void RStarTree::RangeQuery(const Mbr& box, std::vector<ObjectEntry>* out,
-                           AccessCounter* counter, NodePageHook* hook) const {
+                           AccessCounter* counter) const {
   std::vector<const Node*> stack{root_.get()};
   while (!stack.empty()) {
     const Node* node = stack.back();
     stack.pop_back();
-    const bool pinned = ChargeNodeAccess(node, counter, hook);
+    if (counter != nullptr) (node->IsLeaf() ? counter->leaf_nodes : counter->index_nodes) += 1;
     for (const Slot& s : node->slots) {
       if (!box.Intersects(s.mbr)) continue;
       if (node->IsLeaf()) {
@@ -386,16 +390,15 @@ void RStarTree::RangeQuery(const Mbr& box, std::vector<ObjectEntry>* out,
         stack.push_back(s.child.get());
       }
     }
-    if (pinned) hook->Unpin(node);
   }
 }
 
 void RStarTree::CircleQuery(const geom::Circle& circle, std::vector<ObjectEntry>* out,
-                            AccessCounter* counter, NodePageHook* hook) const {
+                            AccessCounter* counter) const {
   Mbr box{{circle.center.x - circle.radius, circle.center.y - circle.radius},
           {circle.center.x + circle.radius, circle.center.y + circle.radius}};
   std::vector<ObjectEntry> candidates;
-  RangeQuery(box, &candidates, counter, hook);
+  RangeQuery(box, &candidates, counter);
   for (const ObjectEntry& o : candidates) {
     if (circle.Contains(o.position)) out->push_back(o);
   }

@@ -6,9 +6,11 @@
 // The implementation is complete: ChooseSubtree with overlap minimization at
 // the leaf level, forced reinsertion (30%) on first overflow per level, and
 // the R* topological split (margin-driven axis choice, overlap-minimal
-// distribution), plus deletion with tree condensation. Node accesses are
-// observable through AccessCounter so the kNN algorithms can report the
-// page-access metric the paper evaluates (Figure 17).
+// distribution), plus deletion with tree condensation. This mutable tree is
+// the builder: the kNN algorithms and the server read the frozen form of it
+// (rtree/packed_tree.h, via Pack or STR bulk loading), and charge node
+// accesses into AccessCounter, the page-access metric the paper evaluates
+// (Figure 17).
 #pragma once
 
 #include <cstdint>
@@ -67,7 +69,7 @@ struct AccessCounter {
   }
 };
 
-class NodePageHook;  // defined below (needs RStarTree::Node)
+class PackedTree;
 
 /// An R*-tree storing point objects.
 class RStarTree {
@@ -81,7 +83,7 @@ class RStarTree {
     double reinsert_fraction = 0.3;
   };
 
-  /// A tree node. Exposed (read-only) so the kNN algorithms in knn.h can
+  /// A tree node. Exposed (read-only) so Pack and the spatial join can
   /// traverse without friend access; mutation is private to RStarTree.
   struct Node;
   /// One slot of a node: an MBR plus either a child node (index levels) or a
@@ -129,14 +131,13 @@ class RStarTree {
   const Node* root() const { return root_.get(); }
 
   /// Appends all objects whose position lies in `box` to `out`. Counts node
-  /// accesses into `counter` when provided; routes them through `hook` (the
-  /// storage engine) when attached.
+  /// accesses into `counter` when provided.
   void RangeQuery(const geom::Mbr& box, std::vector<ObjectEntry>* out,
-                  AccessCounter* counter = nullptr, NodePageHook* hook = nullptr) const;
+                  AccessCounter* counter = nullptr) const;
 
   /// Appends all objects within the closed disk to `out`.
   void CircleQuery(const geom::Circle& circle, std::vector<ObjectEntry>* out,
-                   AccessCounter* counter = nullptr, NodePageHook* hook = nullptr) const;
+                   AccessCounter* counter = nullptr) const;
 
   /// Structural validation for tests: MBR containment, fan-out limits, leaf
   /// depth uniformity, object count. Returns the first violation found.
@@ -145,9 +146,13 @@ class RStarTree {
   /// Recomputes a node's MBR from its slots (exposed for tests/algorithms).
   static geom::Mbr NodeMbr(const Node& node);
 
+  /// `options` with pathological values clamped to a working index: every
+  /// tree, pointer or packed (rtree/packed_tree.h), holds clamped options.
+  static Options ClampOptions(Options options);
+
  private:
-  // STR bulk loading constructs node structures directly (rtree/bulk_load.h).
-  friend RStarTree BulkLoad(std::vector<ObjectEntry> objects, Options options);
+  // Builds the pointer nodes of a packed tree (rtree/packed_tree.h).
+  friend RStarTree Unpack(const PackedTree& tree);
 
   Node* ChooseSubtree(const geom::Mbr& mbr, int target_level);
   void InsertSlot(Slot slot, int level, std::vector<bool>* reinserted_by_level);
@@ -163,73 +168,5 @@ class RStarTree {
   std::unique_ptr<Node> root_;
   size_t size_ = 0;
 };
-
-/// Storage-engine hook for tree traversals. When attached, every charged
-/// node access additionally fetches the node's backing page, so a buffer
-/// pool (src/storage/) can model residency, eviction, and physical I/O
-/// under the logical access stream. Implementations must be deterministic
-/// functions of the fetch/unpin sequence.
-class NodePageHook {
- public:
-  virtual ~NodePageHook() = default;
-  /// Fetches and pins the page backing `node`; returns true when the fetch
-  /// was a physical miss (the page was not resident). Every Fetch is paired
-  /// with exactly one Unpin after the node's slots have been read.
-  virtual bool Fetch(const RStarTree::Node* node) = 0;
-  virtual void Unpin(const RStarTree::Node* node) = 0;
-};
-
-/// Charges one logical access for `node` into `counter` (split by node
-/// kind) and, when `hook` is attached, fetches the backing page and records
-/// the physical miss alongside. Returns true when the hook pinned a page —
-/// the caller must call `hook->Unpin(node)` once it is done reading the
-/// node's slots. Either pointer may be null.
-inline bool ChargeNodeAccess(const RStarTree::Node* node, AccessCounter* counter,
-                             NodePageHook* hook) {
-  const bool miss = hook != nullptr && hook->Fetch(node);
-  if (counter != nullptr) {
-    if (node->IsLeaf()) {
-      counter->leaf_nodes += 1;
-      if (miss) counter->leaf_misses += 1;
-    } else {
-      counter->index_nodes += 1;
-      if (miss) counter->index_misses += 1;
-    }
-  }
-  return hook != nullptr;
-}
-
-/// Multi-query companion of ChargeNodeAccess for batched traversals
-/// (core/batch_server): the node is fetched ONCE for the whole cluster — one
-/// logical access, at most one physical miss — no matter how many queries
-/// read its slots, which is what closes the double-charge hazard of running
-/// N per-query traversals over the same pages. The access is attributed to
-/// `owner` (the per-query counter it is billed to) and mirrored into
-/// `cluster` (the shared-traversal total), where a miss is additionally
-/// classified shared (`shared` true: two or more queries wanted the node)
-/// or private. Returns true when the hook pinned a page — the caller owes
-/// one hook->Unpin(node) after reading the slots. Any pointer may be null.
-inline bool ChargeBatchNodeAccess(const RStarTree::Node* node, AccessCounter* owner,
-                                  AccessCounter* cluster, bool shared, NodePageHook* hook) {
-  const bool miss = hook != nullptr && hook->Fetch(node);
-  for (AccessCounter* counter : {owner, cluster}) {
-    if (counter == nullptr) continue;
-    if (node->IsLeaf()) {
-      counter->leaf_nodes += 1;
-      if (miss) counter->leaf_misses += 1;
-    } else {
-      counter->index_nodes += 1;
-      if (miss) counter->index_misses += 1;
-    }
-    if (miss) {
-      if (shared) {
-        counter->shared_misses += 1;
-      } else {
-        counter->private_misses += 1;
-      }
-    }
-  }
-  return hook != nullptr;
-}
 
 }  // namespace senn::rtree

@@ -2,8 +2,12 @@
 
 #include <cassert>
 #include <cstring>
+#include <type_traits>
 
 namespace senn::storage {
+
+// A node's id is its page id.
+static_assert(std::is_same_v<rtree::NodeId, PageId>);
 
 namespace {
 
@@ -58,31 +62,15 @@ PageSlot ReadPageSlot(const Page& page, size_t index) {
   return slot;
 }
 
-NodePager::NodePager(const rtree::RStarTree* tree, BufferPoolOptions options)
-    : pool_([&] {
+NodePager::NodePager(const rtree::PackedTree* tree, BufferPoolOptions options)
+    : tree_(tree), pool_([&] {
         if (options.capacity_pages > 0 && options.capacity_pages < 2) {
           options.capacity_pages = 2;
         }
         return options;
-      }()) {
-  RegisterSubtree(tree->root());
-}
+      }()) {}
 
-void NodePager::RegisterSubtree(const rtree::RStarTree::Node* node) {
-  page_of_.emplace(node, static_cast<PageId>(page_of_.size()));
-  if (node->IsLeaf()) return;
-  for (const rtree::RStarTree::Slot& slot : node->slots) {
-    RegisterSubtree(slot.child.get());
-  }
-}
-
-PageId NodePager::PageOf(const rtree::RStarTree::Node* node) {
-  auto [it, inserted] = page_of_.emplace(node, static_cast<PageId>(page_of_.size()));
-  return it->second;
-}
-
-bool NodePager::Fetch(const rtree::RStarTree::Node* node) {
-  const PageId id = PageOf(node);
+bool NodePager::Fetch(rtree::NodeId id) {
   BufferPool::FetchResult result = pool_.Fetch(id);
   if (result.page == nullptr) {
     // Every frame pinned — unreachable through the tree traversals (at most
@@ -92,36 +80,41 @@ bool NodePager::Fetch(const rtree::RStarTree::Node* node) {
     assert(false && "buffer pool exhausted by pins");
     return true;
   }
-  if (result.miss) Materialize(node, result.page);
+  if (result.miss) Materialize(id, result.page);
   return result.miss;
 }
 
-void NodePager::Unpin(const rtree::RStarTree::Node* node) {
-  pool_.UnpinIfPinned(PageOf(node));
-}
+void NodePager::Unpin(rtree::NodeId id) { pool_.UnpinIfPinned(id); }
 
-void NodePager::Materialize(const rtree::RStarTree::Node* node, Page* page) {
-  assert(SerializedNodeBytes(node->slots.size()) <= kPageSizeBytes &&
+void NodePager::Materialize(rtree::NodeId id, Page* page) const {
+  const rtree::PackedTree::Node& node = tree_->node(id);
+  assert(SerializedNodeBytes(node.count) <= kPageSizeBytes &&
          "node fan-out exceeds the fixed page size");
-  const uint32_t level = static_cast<uint32_t>(node->level);
-  const uint32_t slot_count = static_cast<uint32_t>(node->slots.size());
+  const uint32_t level = static_cast<uint32_t>(node.level);
   WriteBytes(page, 0, &level, sizeof(level));
-  WriteBytes(page, sizeof(uint32_t), &slot_count, sizeof(slot_count));
-  for (size_t i = 0; i < node->slots.size(); ++i) {
-    const rtree::RStarTree::Slot& slot = node->slots[i];
-    size_t offset = SlotOffset(i);
-    const double mbr[4] = {slot.mbr.lo.x, slot.mbr.lo.y, slot.mbr.hi.x, slot.mbr.hi.y};
-    WriteBytes(page, offset, mbr, sizeof(mbr));
-    offset += kMbrBytes;
-    if (node->IsLeaf()) {
-      WriteBytes(page, offset, &slot.object.id, sizeof(int64_t));
-      WriteBytes(page, offset + sizeof(int64_t), &slot.object.position.x, sizeof(double));
-      WriteBytes(page, offset + sizeof(int64_t) + sizeof(double), &slot.object.position.y,
-                 sizeof(double));
-    } else {
-      const PageId child = PageOf(slot.child.get());
-      WriteBytes(page, offset, &child, sizeof(child));
+  WriteBytes(page, sizeof(uint32_t), &node.count, sizeof(node.count));
+  auto write_mbr = [page](size_t offset, const geom::Mbr& mbr) {
+    const double bytes[4] = {mbr.lo.x, mbr.lo.y, mbr.hi.x, mbr.hi.y};
+    WriteBytes(page, offset, bytes, sizeof(bytes));
+  };
+  if (node.IsLeaf()) {
+    size_t offset = SlotOffset(0);
+    for (const rtree::ObjectEntry& o : tree_->objects(node)) {
+      write_mbr(offset, geom::Mbr::OfPoint(o.position));
+      WriteBytes(page, offset + kMbrBytes, &o.id, sizeof(int64_t));
+      WriteBytes(page, offset + kMbrBytes + sizeof(int64_t), &o.position.x, sizeof(double));
+      WriteBytes(page, offset + kMbrBytes + sizeof(int64_t) + sizeof(double),
+                 &o.position.y, sizeof(double));
+      offset += kSlotBytes;
     }
+    return;
+  }
+  size_t offset = SlotOffset(0);
+  for (const rtree::PackedTree::Branch& b : tree_->branches(node)) {
+    write_mbr(offset, b.mbr);
+    const PageId child = b.child;
+    WriteBytes(page, offset + kMbrBytes, &child, sizeof(child));
+    offset += kSlotBytes;
   }
 }
 

@@ -1,27 +1,26 @@
-// The node-to-page mapping layer: maps every R*-tree node onto one
-// fixed-size storage page and routes traversal accesses through a
-// BufferPool, turning the paper's "page accesses" metric (Figure 17 /
-// Table 1) from a node counter into physical storage behavior — residency,
-// pinning, eviction, warm vs. cold fetches.
+// The node-to-page mapping layer: maps every node of a packed R*-tree
+// (rtree/packed_tree.h) onto one fixed-size storage page and routes
+// traversal accesses through a BufferPool, turning the paper's "page
+// accesses" metric (Figure 17 / Table 1) from a node counter into physical
+// storage behavior — residency, pinning, eviction, warm vs. cold fetches.
 //
-// Page ids are assigned by preorder enumeration of the tree at
-// construction (root = page 0), so the mapping is a pure function of the
-// tree shape: two pagers over equal trees agree on every id, and a
-// simulation with a bounded pool stays bit-reproducible. Nodes created by
-// later tree mutations are registered lazily in first-touch order.
+// A node's page id is its node id: the packed tree numbers its nodes in
+// preorder (root = page 0), so the mapping is a pure function of the tree
+// shape, two pagers over equal trees agree on every id, and a simulation
+// with a bounded pool stays bit-reproducible.
 //
 // On a physical miss the node's contents are serialized into the page
 // frame (the simulated disk read): a PageHeader followed by per-slot
-// records — MBR + child page id at index levels, MBR + object at the leaf
-// level. A branching-factor-30 node fills well under half of a 4 KiB page,
-// which is exactly why the paper equates nodes with pages.
+// records — MBR + child page id at index levels, the point's degenerate
+// MBR + object at the leaf level. A branching-factor-30 node fills well
+// under half of a 4 KiB page, which is exactly why the paper equates nodes
+// with pages.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "src/geom/mbr.h"
-#include "src/rtree/rstar_tree.h"
+#include "src/rtree/packed_tree.h"
 #include "src/storage/buffer_pool.h"
 #include "src/storage/page.h"
 
@@ -53,32 +52,28 @@ PageSlot ReadPageSlot(const Page& page, size_t index);
 
 class NodePager : public rtree::NodePageHook {
  public:
-  /// Builds the page table for the tree's current shape. `tree` must
-  /// outlive the pager. A bounded capacity is clamped to >= 2: best-first
-  /// enqueue accounting holds a parent pinned while transiently fetching a
-  /// child, so two frames is the traversal floor.
-  NodePager(const rtree::RStarTree* tree, BufferPoolOptions options);
+  /// Pages the tree's nodes, one page per node. `tree` must outlive the
+  /// pager and stay where it is. A bounded capacity is clamped to >= 2:
+  /// best-first enqueue accounting holds a parent pinned while transiently
+  /// fetching a child, so two frames is the traversal floor.
+  NodePager(const rtree::PackedTree* tree, BufferPoolOptions options);
 
   /// rtree::NodePageHook: fetch + pin the node's page, materializing the
   /// payload on a miss; returns whether the fetch physically missed.
-  bool Fetch(const rtree::RStarTree::Node* node) override;
-  void Unpin(const rtree::RStarTree::Node* node) override;
+  bool Fetch(rtree::NodeId id) override;
+  void Unpin(rtree::NodeId id) override;
 
-  /// Page id of a node (assigning one first-touch if the tree grew since
-  /// construction).
-  PageId PageOf(const rtree::RStarTree::Node* node);
-  /// Registered pages (== nodes seen so far).
-  size_t page_count() const { return page_of_.size(); }
+  /// Pages of the tree (== its nodes).
+  size_t page_count() const { return tree_->node_count(); }
 
   BufferPool& pool() { return pool_; }
   const BufferPool& pool() const { return pool_; }
 
  private:
-  void RegisterSubtree(const rtree::RStarTree::Node* node);
-  void Materialize(const rtree::RStarTree::Node* node, Page* page);
+  void Materialize(rtree::NodeId id, Page* page) const;
 
+  const rtree::PackedTree* tree_;
   BufferPool pool_;
-  std::unordered_map<const rtree::RStarTree::Node*, PageId> page_of_;
 };
 
 }  // namespace senn::storage

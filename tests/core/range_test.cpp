@@ -94,8 +94,9 @@ TEST(PrunedCircleQueryTest, InnerPruningSavesPages) {
   rtree::RStarTree::Options opts;
   opts.max_entries = 8;
   opts.min_entries = 3;
-  rtree::RStarTree tree(opts);
-  for (const Poi& p : pois) tree.Insert(p.position, p.id);
+  rtree::RStarTree inserted(opts);
+  for (const Poi& p : pois) inserted.Insert(p.position, p.id);
+  const rtree::PackedTree tree = rtree::Pack(inserted);
   uint64_t pruned_total = 0, plain_total = 0;
   for (int trial = 0; trial < 30; ++trial) {
     Vec2 q{rng.Uniform(200, 800), rng.Uniform(200, 800)};

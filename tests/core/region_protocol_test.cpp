@@ -180,6 +180,19 @@ TEST(RegionProtocolTest, RegionQueryExcludesKnownAndKeepsRest) {
   }
 }
 
+// k <= 0 asks for no rank: the empty reply QueryKnn(q, 0) gives, without a
+// page read (the dynamic bound's heap stays empty, so it must not be read).
+TEST(RegionProtocolTest, NonPositiveKReturnsAnEmptyReply) {
+  Rng rng(6);
+  SpatialServer server(RandomPois(100, &rng, 100));
+  EXPECT_TRUE(server.QueryKnn({50, 50}, 0).neighbors.empty());
+  for (int k : {0, -1}) {
+    ServerReply reply = server.QueryKnnWithRegion({50, 50}, k, 1e9, {});
+    EXPECT_TRUE(reply.neighbors.empty()) << "k=" << k;
+    EXPECT_EQ(reply.einn_accesses.total(), 0u) << "k=" << k;
+  }
+}
+
 TEST(RegionProtocolTest, RegionPruningSavesPagesOnCoveredLeaves) {
   // Small fan-out => small leaves => peer disks can cover whole subtrees.
   Rng rng(5);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <type_traits>
 
 #include "src/common/rng.h"
 #include "src/storage/page.h"
@@ -36,6 +37,12 @@ TEST(SpatialServerTest, BuildsTreeWithPaperBranchingFactor) {
   EXPECT_EQ(server.tree().options().max_entries, 30);
   EXPECT_TRUE(server.tree().CheckInvariants().ok());
 }
+
+// The storage engine points at the server's tree, so a server cannot be
+// copied or moved away from it.
+static_assert(!std::is_copy_constructible_v<SpatialServer>);
+static_assert(!std::is_move_constructible_v<SpatialServer>);
+static_assert(!std::is_move_assignable_v<SpatialServer>);
 
 // The tree is the server's only copy of the POIs: the count survives the
 // construction whether the caller moves its set in or keeps it.

@@ -91,8 +91,9 @@ TEST(TieBreakTest, RtreeSearchesRankCoDistantObjectsById) {
   }
   rtree::RStarTree tree;
   for (auto it = pois.rbegin(); it != pois.rend(); ++it) tree.Insert(it->position, it->id);
-  std::vector<rtree::Neighbor> df = rtree::DepthFirstKnn(tree, w.q, 3);
-  std::vector<rtree::Neighbor> bf = rtree::BestFirstKnn(tree, w.q, 3);
+  const rtree::PackedTree packed = rtree::Pack(tree);
+  std::vector<rtree::Neighbor> df = rtree::DepthFirstKnn(packed, w.q, 3);
+  std::vector<rtree::Neighbor> bf = rtree::BestFirstKnn(packed, w.q, 3);
   ASSERT_EQ(df.size(), 3u);
   ASSERT_EQ(bf.size(), 3u);
   for (int i = 0; i < 3; ++i) {

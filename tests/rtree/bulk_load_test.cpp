@@ -6,7 +6,9 @@
 #include <bit>
 #include <cstdint>
 #include <set>
+#include <span>
 #include <unordered_map>
+#include <utility>
 
 #include "src/common/rng.h"
 #include "src/rtree/knn.h"
@@ -65,10 +67,12 @@ TEST(BulkLoadTest, QueriesMatchIncrementalTree) {
   RStarTree bulk = BulkLoad(objs);
   RStarTree incremental;
   for (const ObjectEntry& o : objs) incremental.Insert(o.position, o.id);
+  const PackedTree packed_bulk = Pack(bulk);
+  const PackedTree packed_incremental = Pack(incremental);
   for (int trial = 0; trial < 30; ++trial) {
     Vec2 q{rng.Uniform(0, 1000), rng.Uniform(0, 1000)};
-    std::vector<Neighbor> a = BestFirstKnn(bulk, q, 10);
-    std::vector<Neighbor> b = BestFirstKnn(incremental, q, 10);
+    std::vector<Neighbor> a = BestFirstKnn(packed_bulk, q, 10);
+    std::vector<Neighbor> b = BestFirstKnn(packed_incremental, q, 10);
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].object.id, b[i].object.id) << "trial " << trial << " rank " << i;
@@ -139,18 +143,31 @@ TEST(BulkLoadTest, CustomOptionsRespected) {
 // and the preorder index of its parent; per slot its MBR bits and, at the
 // leaves, the object's position bits and id. Two trees hash equal only if
 // they have the same node order, slot order, MBRs and parent links.
-uint64_t ShapeFingerprint(const RStarTree& tree) {
-  uint64_t h = 14695981039346656037ULL;
-  auto mix = [&h](uint64_t v) {
+class Fingerprint {
+ public:
+  void Mix(uint64_t v) {
     for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ULL;
+      h_ ^= (v >> (8 * i)) & 0xff;
+      h_ *= 1099511628211ULL;
     }
-  };
-  auto mix_point = [&mix](Vec2 p) {
-    mix(std::bit_cast<uint64_t>(p.x));
-    mix(std::bit_cast<uint64_t>(p.y));
-  };
+  }
+  void MixPoint(Vec2 p) {
+    Mix(std::bit_cast<uint64_t>(p.x));
+    Mix(std::bit_cast<uint64_t>(p.y));
+  }
+  void MixNode(int level, size_t slots, int64_t parent) {
+    Mix(static_cast<uint64_t>(level));
+    Mix(slots);
+    Mix(static_cast<uint64_t>(parent));
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 14695981039346656037ULL;
+};
+
+uint64_t ShapeFingerprint(const RStarTree& tree) {
+  Fingerprint f;
   std::unordered_map<const RStarTree::Node*, int64_t> preorder_index;
   std::vector<const RStarTree::Node*> stack{tree.root()};
   while (!stack.empty()) {
@@ -159,22 +176,52 @@ uint64_t ShapeFingerprint(const RStarTree& tree) {
     const int64_t index = static_cast<int64_t>(preorder_index.size());
     preorder_index[node] = index;
     auto parent = preorder_index.find(node->parent);
-    mix(static_cast<uint64_t>(node->level));
-    mix(node->slots.size());
-    mix(static_cast<uint64_t>(parent == preorder_index.end() ? -1 : parent->second));
+    f.MixNode(node->level, node->slots.size(),
+              parent == preorder_index.end() ? -1 : parent->second);
     for (const RStarTree::Slot& s : node->slots) {
-      mix_point(s.mbr.lo);
-      mix_point(s.mbr.hi);
+      f.MixPoint(s.mbr.lo);
+      f.MixPoint(s.mbr.hi);
       if (node->IsLeaf()) {
-        mix_point(s.object.position);
-        mix(static_cast<uint64_t>(s.object.id));
+        f.MixPoint(s.object.position);
+        f.Mix(static_cast<uint64_t>(s.object.id));
       }
     }
     for (auto it = node->slots.rbegin(); it != node->slots.rend(); ++it) {
       if (it->child) stack.push_back(it->child.get());
     }
   }
-  return h;
+  return f.value();
+}
+
+// The same hash over the packed layout: a node's preorder index is its id,
+// and a leaf point counts as its degenerate MBR.
+uint64_t ShapeFingerprint(const PackedTree& tree) {
+  Fingerprint f;
+  std::vector<std::pair<NodeId, int64_t>> stack{{PackedTree::root(), -1}};
+  while (!stack.empty()) {
+    const auto [id, parent] = stack.back();
+    stack.pop_back();
+    const PackedTree::Node& node = tree.node(id);
+    f.MixNode(node.level, node.count, parent);
+    if (node.IsLeaf()) {
+      for (const ObjectEntry& o : tree.objects(node)) {
+        f.MixPoint(o.position);
+        f.MixPoint(o.position);
+        f.MixPoint(o.position);
+        f.Mix(static_cast<uint64_t>(o.id));
+      }
+      continue;
+    }
+    std::span<const PackedTree::Branch> branches = tree.branches(node);
+    for (const PackedTree::Branch& b : branches) {
+      f.MixPoint(b.mbr.lo);
+      f.MixPoint(b.mbr.hi);
+    }
+    for (auto it = branches.rbegin(); it != branches.rend(); ++it) {
+      stack.push_back({it->child, static_cast<int64_t>(id)});
+    }
+  }
+  return f.value();
 }
 
 // Co-located points: a 40x40 lattice, each site held 6 times, ids shuffled
@@ -252,11 +299,41 @@ TEST(BulkLoadTest, PackedShapeMatchesRecordedFingerprints) {
   cases.push_back({"fanout_8_3", uniform(5000), small, 5286098656492171123ULL});
   for (Case& c : cases) {
     const size_t n = c.objects.size();
+    const PackedTree packed = BulkLoadPacked(c.objects, c.options);
+    EXPECT_EQ(packed.size(), n) << c.name;
+    EXPECT_TRUE(packed.CheckInvariants().ok()) << c.name;
+    EXPECT_EQ(ShapeFingerprint(packed), c.fingerprint) << c.name;
     RStarTree tree = BulkLoad(std::move(c.objects), c.options);
     EXPECT_EQ(tree.size(), n) << c.name;
     EXPECT_TRUE(tree.CheckInvariants().ok()) << c.name;
     EXPECT_EQ(ShapeFingerprint(tree), c.fingerprint) << c.name;
   }
+}
+
+// Pack is a lossless preorder freeze of any valid pointer tree, including
+// the irregular shapes one-at-a-time insertion leaves behind: at fan-out 8,
+// 3,000 inserts go through many R* splits and forced reinserts, and the
+// removals condense underfull nodes.
+TEST(BulkLoadTest, PackOfAnInsertBuiltTreeKeepsItsShape) {
+  Rng rng(34);
+  RStarTree::Options small;
+  small.max_entries = 8;
+  small.min_entries = 3;
+  RStarTree tree(small);
+  std::vector<ObjectEntry> objs = MakeRandomObjects(3000, &rng);
+  for (const ObjectEntry& o : objs) tree.Insert(o.position, o.id);
+  for (size_t i = 0; i < objs.size(); i += 7) {
+    ASSERT_TRUE(tree.Remove(objs[i].position, objs[i].id).ok());
+  }
+  ASSERT_TRUE(tree.CheckInvariants().ok());
+  ASSERT_GE(tree.height(), 4);
+
+  const PackedTree packed = Pack(tree);
+  EXPECT_EQ(packed.size(), tree.size());
+  EXPECT_EQ(packed.height(), tree.height());
+  EXPECT_TRUE(packed.CheckInvariants().ok()) << packed.CheckInvariants().ToString();
+  EXPECT_EQ(ShapeFingerprint(packed), ShapeFingerprint(tree));
+  EXPECT_EQ(ShapeFingerprint(Unpack(packed)), ShapeFingerprint(tree));
 }
 
 }  // namespace

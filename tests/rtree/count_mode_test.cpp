@@ -12,17 +12,17 @@ namespace {
 
 using geom::Vec2;
 
-RStarTree BuildTree(int n, uint64_t seed) {
+PackedTree BuildTree(int n, uint64_t seed) {
   Rng rng(seed);
   RStarTree tree;
   for (int i = 0; i < n; ++i) {
     tree.Insert({rng.Uniform(0, 1000), rng.Uniform(0, 1000)}, i);
   }
-  return tree;
+  return Pack(tree);
 }
 
 TEST(CountModeTest, EnqueueCountsAtLeastExpand) {
-  RStarTree tree = BuildTree(3000, 1);
+  const PackedTree tree = BuildTree(3000, 1);
   Rng rng(2);
   for (int trial = 0; trial < 30; ++trial) {
     Vec2 q{rng.Uniform(0, 1000), rng.Uniform(0, 1000)};
@@ -40,7 +40,7 @@ TEST(CountModeTest, EnqueueCountsAtLeastExpand) {
 }
 
 TEST(CountModeTest, DynamicBoundDoesNotChangeResults) {
-  RStarTree tree = BuildTree(2000, 3);
+  const PackedTree tree = BuildTree(2000, 3);
   Rng rng(4);
   for (int trial = 0; trial < 30; ++trial) {
     Vec2 q{rng.Uniform(0, 1000), rng.Uniform(0, 1000)};
@@ -58,7 +58,7 @@ TEST(CountModeTest, DynamicBoundDoesNotChangeResults) {
 }
 
 TEST(CountModeTest, DynamicBoundReducesEnqueues) {
-  RStarTree tree = BuildTree(5000, 5);
+  const PackedTree tree = BuildTree(5000, 5);
   Rng rng(6);
   uint64_t plain_total = 0, pruned_total = 0;
   for (int trial = 0; trial < 50; ++trial) {
@@ -77,7 +77,7 @@ TEST(CountModeTest, DynamicBoundReducesEnqueues) {
 }
 
 TEST(CountModeTest, DynamicBoundPrunesTheTail) {
-  RStarTree tree = BuildTree(200, 7);
+  const PackedTree tree = BuildTree(200, 7);
   const int k = 5;
   BestFirstNnIterator it(tree, {500, 500}, {}, AccessCountMode::kOnExpand, k);
   std::vector<Neighbor> truth = BestFirstKnn(tree, {500, 500}, k);
@@ -99,7 +99,7 @@ TEST(CountModeTest, LowerBoundWithPruneToKReturnsCorrectRemainder) {
   // The prune_to_k contract: known objects inside the lower bound count
   // toward k, so the iterator yields exactly the ranks after the client's
   // certified prefix.
-  RStarTree tree = BuildTree(1000, 8);
+  const PackedTree tree = BuildTree(1000, 8);
   Rng rng(9);
   for (int trial = 0; trial < 20; ++trial) {
     Vec2 q{rng.Uniform(0, 1000), rng.Uniform(0, 1000)};
@@ -118,7 +118,7 @@ TEST(CountModeTest, LowerBoundWithPruneToKReturnsCorrectRemainder) {
 }
 
 TEST(CountModeTest, EinnNeverEnqueuesMoreThanInn) {
-  RStarTree tree = BuildTree(4000, 10);
+  const PackedTree tree = BuildTree(4000, 10);
   Rng rng(11);
   for (int trial = 0; trial < 40; ++trial) {
     Vec2 q{rng.Uniform(0, 1000), rng.Uniform(0, 1000)};

@@ -22,6 +22,15 @@ std::vector<ObjectEntry> MakeRandomObjects(int n, Rng* rng, double extent = 1000
   return objs;
 }
 
+// The tree one-at-a-time insertion builds (splits and forced reinserts
+// included), packed for the traversals.
+PackedTree InsertAndPack(const std::vector<ObjectEntry>& objs,
+                         RStarTree::Options options = RStarTree::Options()) {
+  RStarTree tree(options);
+  for (const ObjectEntry& o : objs) tree.Insert(o.position, o.id);
+  return Pack(tree);
+}
+
 std::vector<Neighbor> BruteForceKnn(const std::vector<ObjectEntry>& objs, Vec2 q, int k) {
   std::vector<Neighbor> all;
   all.reserve(objs.size());
@@ -43,8 +52,7 @@ class KnnAlgorithmsTest : public ::testing::TestWithParam<int> {};
 TEST_P(KnnAlgorithmsTest, DepthFirstMatchesBruteForce) {
   Rng rng(100 + GetParam());
   std::vector<ObjectEntry> objs = MakeRandomObjects(700, &rng);
-  RStarTree tree;
-  for (const ObjectEntry& o : objs) tree.Insert(o.position, o.id);
+  const PackedTree tree = InsertAndPack(objs);
   int k = GetParam();
   for (int trial = 0; trial < 30; ++trial) {
     Vec2 q{rng.Uniform(-100, 1100), rng.Uniform(-100, 1100)};
@@ -57,8 +65,7 @@ TEST_P(KnnAlgorithmsTest, DepthFirstMatchesBruteForce) {
 TEST_P(KnnAlgorithmsTest, BestFirstMatchesBruteForce) {
   Rng rng(200 + GetParam());
   std::vector<ObjectEntry> objs = MakeRandomObjects(700, &rng);
-  RStarTree tree;
-  for (const ObjectEntry& o : objs) tree.Insert(o.position, o.id);
+  const PackedTree tree = InsertAndPack(objs);
   int k = GetParam();
   for (int trial = 0; trial < 30; ++trial) {
     Vec2 q{rng.Uniform(-100, 1100), rng.Uniform(-100, 1100)};
@@ -72,8 +79,7 @@ INSTANTIATE_TEST_SUITE_P(VariousK, KnnAlgorithmsTest, ::testing::Values(1, 2, 3,
 
 TEST(KnnTest, KZeroOrNegativeReturnsEmpty) {
   Rng rng(1);
-  RStarTree tree;
-  tree.Insert({1, 1}, 1);
+  const PackedTree tree = InsertAndPack({{{1, 1}, 1}});
   EXPECT_TRUE(DepthFirstKnn(tree, {0, 0}, 0).empty());
   EXPECT_TRUE(BestFirstKnn(tree, {0, 0}, -3).empty());
 }
@@ -81,14 +87,13 @@ TEST(KnnTest, KZeroOrNegativeReturnsEmpty) {
 TEST(KnnTest, KLargerThanTreeReturnsAll) {
   Rng rng(2);
   std::vector<ObjectEntry> objs = MakeRandomObjects(20, &rng);
-  RStarTree tree;
-  for (const ObjectEntry& o : objs) tree.Insert(o.position, o.id);
+  const PackedTree tree = InsertAndPack(objs);
   EXPECT_EQ(DepthFirstKnn(tree, {500, 500}, 100).size(), 20u);
   EXPECT_EQ(BestFirstKnn(tree, {500, 500}, 100).size(), 20u);
 }
 
 TEST(KnnTest, EmptyTreeYieldsNothing) {
-  RStarTree tree;
+  const PackedTree tree;
   EXPECT_TRUE(DepthFirstKnn(tree, {0, 0}, 5).empty());
   BestFirstNnIterator it(tree, {0, 0});
   EXPECT_FALSE(it.Next().has_value());
@@ -97,8 +102,7 @@ TEST(KnnTest, EmptyTreeYieldsNothing) {
 TEST(KnnTest, IncrementalIteratorAscendingDistances) {
   Rng rng(3);
   std::vector<ObjectEntry> objs = MakeRandomObjects(500, &rng);
-  RStarTree tree;
-  for (const ObjectEntry& o : objs) tree.Insert(o.position, o.id);
+  const PackedTree tree = InsertAndPack(objs);
   BestFirstNnIterator it(tree, {500, 500});
   double last = -1.0;
   int count = 0;
@@ -113,8 +117,7 @@ TEST(KnnTest, IncrementalIteratorAscendingDistances) {
 TEST(KnnTest, IncrementalIteratorMatchesBruteForceOrder) {
   Rng rng(4);
   std::vector<ObjectEntry> objs = MakeRandomObjects(300, &rng);
-  RStarTree tree;
-  for (const ObjectEntry& o : objs) tree.Insert(o.position, o.id);
+  const PackedTree tree = InsertAndPack(objs);
   Vec2 q{123, 456};
   std::vector<Neighbor> want = BruteForceKnn(objs, q, 300);
   BestFirstNnIterator it(tree, q);
@@ -130,8 +133,7 @@ TEST(KnnTest, BestFirstVisitsFewerNodesThanDepthFirstOnAverage) {
   // not access more nodes than depth-first branch-and-bound.
   Rng rng(5);
   std::vector<ObjectEntry> objs = MakeRandomObjects(3000, &rng);
-  RStarTree tree;
-  for (const ObjectEntry& o : objs) tree.Insert(o.position, o.id);
+  const PackedTree tree = InsertAndPack(objs);
   uint64_t df_total = 0, bf_total = 0;
   for (int trial = 0; trial < 100; ++trial) {
     Vec2 q{rng.Uniform(0, 1000), rng.Uniform(0, 1000)};
@@ -147,8 +149,7 @@ TEST(KnnTest, BestFirstVisitsFewerNodesThanDepthFirstOnAverage) {
 TEST(KnnTest, UpperBoundPruningPreservesResultsWithinBound) {
   Rng rng(6);
   std::vector<ObjectEntry> objs = MakeRandomObjects(1000, &rng);
-  RStarTree tree;
-  for (const ObjectEntry& o : objs) tree.Insert(o.position, o.id);
+  const PackedTree tree = InsertAndPack(objs);
   for (int trial = 0; trial < 25; ++trial) {
     Vec2 q{rng.Uniform(0, 1000), rng.Uniform(0, 1000)};
     std::vector<Neighbor> plain = BestFirstKnn(tree, q, 10);
@@ -167,8 +168,7 @@ TEST(KnnTest, UpperBoundPruningPreservesResultsWithinBound) {
 TEST(KnnTest, LowerBoundSkipsKnownObjectsAndFindsTheRest) {
   Rng rng(7);
   std::vector<ObjectEntry> objs = MakeRandomObjects(1000, &rng);
-  RStarTree tree;
-  for (const ObjectEntry& o : objs) tree.Insert(o.position, o.id);
+  const PackedTree tree = InsertAndPack(objs);
   for (int trial = 0; trial < 25; ++trial) {
     Vec2 q{rng.Uniform(0, 1000), rng.Uniform(0, 1000)};
     std::vector<Neighbor> plain = BestFirstKnn(tree, q, 10);
@@ -195,8 +195,7 @@ TEST(KnnTest, BothBoundsTogetherReduceAccesses) {
   RStarTree::Options opts;
   opts.max_entries = 8;
   opts.min_entries = 3;
-  RStarTree tree(opts);
-  for (const ObjectEntry& o : objs) tree.Insert(o.position, o.id);
+  const PackedTree tree = InsertAndPack(objs, opts);
   uint64_t einn_total = 0, inn_total = 0;
   const int k = 40, certified = 30;
   for (int trial = 0; trial < 50; ++trial) {
@@ -223,8 +222,7 @@ TEST(KnnTest, BothBoundsTogetherReduceAccesses) {
 TEST(KnnTest, TightUpperBoundTerminatesEarly) {
   Rng rng(9);
   std::vector<ObjectEntry> objs = MakeRandomObjects(2000, &rng);
-  RStarTree tree;
-  for (const ObjectEntry& o : objs) tree.Insert(o.position, o.id);
+  const PackedTree tree = InsertAndPack(objs);
   Vec2 q{500, 500};
   PruneBounds bounds;
   bounds.upper = 1.0;  // almost certainly no POI within 1 m
@@ -237,11 +235,12 @@ TEST(KnnTest, TightUpperBoundTerminatesEarly) {
 
 TEST(KnnTest, DuplicateDistancesHandled) {
   // Objects arranged on a circle: all equidistant from the center.
-  RStarTree tree;
+  std::vector<ObjectEntry> objs;
   for (int i = 0; i < 64; ++i) {
     double a = 2.0 * M_PI * i / 64;
-    tree.Insert({std::cos(a) * 10, std::sin(a) * 10}, i);
+    objs.push_back({{std::cos(a) * 10, std::sin(a) * 10}, i});
   }
+  const PackedTree tree = InsertAndPack(objs);
   std::vector<Neighbor> got = BestFirstKnn(tree, {0, 0}, 10);
   ASSERT_EQ(got.size(), 10u);
   for (const Neighbor& n : got) EXPECT_NEAR(n.distance, 10.0, 1e-9);

@@ -1,6 +1,7 @@
 // NodePager: the node-to-page mapping and serialization layer.
 #include <gtest/gtest.h>
 
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -12,17 +13,25 @@
 namespace senn::storage {
 namespace {
 
-rtree::RStarTree MakeTree(int n, uint64_t seed) {
+std::vector<rtree::ObjectEntry> MakeEntries(int n, uint64_t seed) {
   Rng rng(seed);
   std::vector<rtree::ObjectEntry> entries;
   entries.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     entries.push_back({{rng.Uniform(0, 1000), rng.Uniform(0, 1000)}, i});
   }
+  return entries;
+}
+
+rtree::RStarTree::Options SmallNodes() {
   rtree::RStarTree::Options options;
   options.max_entries = 8;
   options.min_entries = 3;
-  return rtree::BulkLoad(std::move(entries), options);
+  return options;
+}
+
+rtree::PackedTree MakeTree(int n, uint64_t seed) {
+  return rtree::BulkLoadPacked(MakeEntries(n, seed), SmallNodes());
 }
 
 void CollectPreorder(const rtree::RStarTree::Node* node,
@@ -32,32 +41,49 @@ void CollectPreorder(const rtree::RStarTree::Node* node,
   for (const rtree::RStarTree::Slot& s : node->slots) CollectPreorder(s.child.get(), out);
 }
 
+// The pages of the STR tree the server builds, checked against the pointer
+// form of the same tree: page id i is the i-th node of its preorder walk.
 TEST(NodePagerTest, PageIdsAreAPureFunctionOfTheTreeShape) {
-  rtree::RStarTree tree = MakeTree(300, 1);
+  const rtree::RStarTree pointers = rtree::BulkLoad(MakeEntries(300, 1), SmallNodes());
+  const rtree::PackedTree tree = MakeTree(300, 1);
   NodePager a(&tree, BufferPoolOptions{});
   NodePager b(&tree, BufferPoolOptions{});
 
   std::vector<const rtree::RStarTree::Node*> nodes;
-  CollectPreorder(tree.root(), &nodes);
+  CollectPreorder(pointers.root(), &nodes);
   ASSERT_EQ(a.page_count(), nodes.size());
   ASSERT_EQ(b.page_count(), nodes.size());
-  EXPECT_EQ(a.PageOf(tree.root()), PageId{0});
-  for (const rtree::RStarTree::Node* node : nodes) {
-    EXPECT_EQ(a.PageOf(node), b.PageOf(node));
-    EXPECT_LT(a.PageOf(node), nodes.size());
+  std::unordered_map<const rtree::RStarTree::Node*, PageId> preorder;
+  for (size_t i = 0; i < nodes.size(); ++i) preorder[nodes[i]] = static_cast<PageId>(i);
+  EXPECT_EQ(preorder[pointers.root()], rtree::PackedTree::root());
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    const rtree::PackedTree::Node& node = tree.node(static_cast<rtree::NodeId>(i));
+    EXPECT_EQ(node.level, nodes[i]->level);
+    ASSERT_EQ(node.count, nodes[i]->slots.size());
+    if (node.IsLeaf()) continue;
+    for (size_t j = 0; j < node.count; ++j) {
+      EXPECT_EQ(tree.branches(node)[j].child, preorder[nodes[i]->slots[j].child.get()]);
+      EXPECT_LT(tree.branches(node)[j].child, nodes.size());
+    }
   }
 }
 
 TEST(NodePagerTest, MaterializedPagesRoundTrip) {
-  rtree::RStarTree tree = MakeTree(200, 2);
+  const rtree::RStarTree pointers = rtree::BulkLoad(MakeEntries(200, 2), SmallNodes());
+  const rtree::PackedTree tree = MakeTree(200, 2);
   NodePager pager(&tree, BufferPoolOptions{});
 
   std::vector<const rtree::RStarTree::Node*> nodes;
-  CollectPreorder(tree.root(), &nodes);
-  for (const rtree::RStarTree::Node* node : nodes) {
+  CollectPreorder(pointers.root(), &nodes);
+  ASSERT_EQ(pager.page_count(), nodes.size());
+  std::unordered_map<const rtree::RStarTree::Node*, PageId> preorder;
+  for (size_t i = 0; i < nodes.size(); ++i) preorder[nodes[i]] = static_cast<PageId>(i);
+  for (size_t n = 0; n < nodes.size(); ++n) {
+    const rtree::RStarTree::Node* node = nodes[n];
+    const PageId id = static_cast<PageId>(n);
     ASSERT_LE(SerializedNodeBytes(node->slots.size()), kPageSizeBytes);
-    EXPECT_TRUE(pager.Fetch(node)) << "first touch must miss";
-    const Page* page = pager.pool().Fetch(pager.PageOf(node)).page;
+    EXPECT_TRUE(pager.Fetch(id)) << "first touch must miss";
+    const Page* page = pager.pool().Fetch(id).page;
     ASSERT_NE(page, nullptr);
 
     const PageHeader header = ReadPageHeader(*page);
@@ -75,34 +101,33 @@ TEST(NodePagerTest, MaterializedPagesRoundTrip) {
         EXPECT_EQ(got.object_x, expected.object.position.x);
         EXPECT_EQ(got.object_y, expected.object.position.y);
       } else {
-        EXPECT_EQ(got.child, pager.PageOf(expected.child.get()));
+        EXPECT_EQ(got.child, preorder[expected.child.get()]);
       }
     }
-    pager.pool().Unpin(pager.PageOf(node));  // the extra inspection pin
-    pager.Unpin(node);
+    pager.pool().Unpin(id);  // the extra inspection pin
+    pager.Unpin(id);
   }
 }
 
 TEST(NodePagerTest, UnboundedPoolHitsOnSecondPass) {
-  rtree::RStarTree tree = MakeTree(250, 3);
+  const rtree::PackedTree tree = MakeTree(250, 3);
   NodePager pager(&tree, BufferPoolOptions{});
-  std::vector<const rtree::RStarTree::Node*> nodes;
-  CollectPreorder(tree.root(), &nodes);
-  for (const rtree::RStarTree::Node* node : nodes) {
-    EXPECT_TRUE(pager.Fetch(node));
-    pager.Unpin(node);
+  const size_t pages = tree.node_count();
+  for (rtree::NodeId id = 0; id < pages; ++id) {
+    EXPECT_TRUE(pager.Fetch(id));
+    pager.Unpin(id);
   }
-  for (const rtree::RStarTree::Node* node : nodes) {
-    EXPECT_FALSE(pager.Fetch(node));
-    pager.Unpin(node);
+  for (rtree::NodeId id = 0; id < pages; ++id) {
+    EXPECT_FALSE(pager.Fetch(id));
+    pager.Unpin(id);
   }
-  EXPECT_EQ(pager.pool().stats().misses, nodes.size());
-  EXPECT_EQ(pager.pool().stats().hits, nodes.size());
+  EXPECT_EQ(pager.pool().stats().misses, pages);
+  EXPECT_EQ(pager.pool().stats().hits, pages);
   EXPECT_EQ(pager.pool().stats().evictions, 0u);
 }
 
 TEST(NodePagerTest, BoundedCapacityIsClampedToTwoFrames) {
-  rtree::RStarTree tree = MakeTree(100, 4);
+  const rtree::PackedTree tree = MakeTree(100, 4);
   BufferPoolOptions options;
   options.capacity_pages = 1;  // below the traversal floor
   NodePager pager(&tree, options);
@@ -113,7 +138,7 @@ TEST(NodePagerTest, BoundedCapacityIsClampedToTwoFrames) {
 }
 
 TEST(NodePagerTest, HookedKnnMatchesUnhookedAndOnlyMissesDiffer) {
-  rtree::RStarTree tree = MakeTree(400, 5);
+  const rtree::PackedTree tree = MakeTree(400, 5);
   NodePager pager(&tree, BufferPoolOptions{});
   Rng rng(99);
   for (int trial = 0; trial < 20; ++trial) {

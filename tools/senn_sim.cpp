@@ -52,7 +52,10 @@ using namespace senn;
       "  --replacement lru|clock          buffer-pool replacement policy (default lru)\n"
       "  --server-batch N                 answer each step's server contacts in shared\n"
       "                                   EINN traversals of <= N co-located queries\n"
-      "                                   (default 1 = sequential per-query path)\n"
+      "                                   (default 1 = sequential per-query path); a\n"
+      "                                   cluster forms only within one Tx_Range tile\n"
+      "                                   and one step, so at the paper's load clusters\n"
+      "                                   rarely form\n"
       "  --server-transport inproc|loopback\n"
       "                                   how server contacts reach the spatial server:\n"
       "                                   direct calls (default) or the full rpc wire\n"
@@ -298,10 +301,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<sim::SimulationConfig> shard_cfgs;
-  shard_cfgs.reserve(static_cast<size_t>(shards));
-  for (int s = 0; s < shards; ++s) shard_cfgs.push_back(sim::ShardConfig(cfg, s));
-
   sim::QueryTrace trace;
   obs::ChromeTraceWriter chrome_trace;
   obs::MetricsRegistry phase_metrics;
@@ -309,24 +308,25 @@ int main(int argc, char** argv) {
   obs::TeeSink span_tee;
   span_tee.Add(&chrome_trace);
   span_tee.Add(&metrics_sink);
-  std::vector<sim::SimulationResult> parts;
+  sim::SimulationResult r;
   if (!trace_path.empty() || !trace_out_path.empty()) {
     // The trace sinks are single-threaded; run the traced shard on its own
     // simulator and the rest on the pool. Shard 0 alone is deterministic
     // regardless of how the remaining shards are scheduled, so the trace
     // files are byte-identical at any --threads.
-    sim::Simulator traced(shard_cfgs[0]);
+    sim::Simulator traced(sim::ShardConfig(cfg, 0));
     if (!trace_path.empty()) traced.AttachTrace(&trace);
     if (!trace_out_path.empty()) traced.AttachSpanSink(&span_tee, trace_sample);
-    parts.push_back(traced.Run());
-    std::vector<sim::SimulationConfig> rest(shard_cfgs.begin() + 1, shard_cfgs.end());
+    std::vector<sim::SimulationResult> parts{traced.Run()};
+    std::vector<sim::SimulationConfig> rest;
+    for (int s = 1; s < shards; ++s) rest.push_back(sim::ShardConfig(cfg, s));
     std::vector<sim::SimulationResult> rest_results =
         sim::RunConfigs(rest, sim::SweepOptions{threads});
     parts.insert(parts.end(), rest_results.begin(), rest_results.end());
+    r = sim::MergeResults(parts);
   } else {
-    parts = sim::RunConfigs(shard_cfgs, sim::SweepOptions{threads});
+    r = sim::RunSeedShards(cfg, shards, sim::SweepOptions{threads});
   }
-  sim::SimulationResult r = sim::MergeResults(parts);
 
   std::printf("\nresults over %llu measured queries (%.0f simulated seconds):\n",
               static_cast<unsigned long long>(r.measured_queries), r.simulated_seconds);
@@ -438,7 +438,7 @@ int main(int argc, char** argv) {
     // distance oracle. Both backends return identical result sets
     // (tests/core/snnn_oracle_test.cpp); the point of the flag is the cost
     // comparison, reported below as settled nodes and wall time.
-    sim::Simulator world(shard_cfgs[0]);
+    sim::Simulator world(sim::ShardConfig(cfg, 0));
     const roadnet::Graph* graph = world.graph();
     if (graph == nullptr) {
       std::fprintf(stderr, "--snnn requires --mode road (free movement has no road graph)\n");
