@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <queue>
 #include <span>
 #include <utility>
 
@@ -102,9 +101,11 @@ std::vector<ServerReply> BatchServer::AnswerBatch(const std::vector<BatchQuery>&
   for (const std::vector<size_t>& members : FormClusters(queries)) {
     if (cluster_sizes != nullptr) cluster_sizes->push_back(members.size());
     if (members.size() == 1) {
-      // Sequential delegation: a cluster of one is exactly a QueryKnn call
-      // (ServerStats bookkeeping included), which is what makes batch size 1
-      // byte-identical to today's server path.
+      // A cluster of one runs the sequential EINN policy: exactly a
+      // QueryKnn call (ServerStats bookkeeping included), which makes batch
+      // size 1 byte-identical to the sequential path. The cluster policy's
+      // pop-time re-check and candidate reach would charge a lone query
+      // differently under enqueue accounting and through a pool.
       const BatchQuery& bq = queries[members.front()];
       replies[members.front()] =
           server_->QueryKnn(bq.q, bq.k, bq.bounds, bq.already_certified, tracer);
@@ -117,234 +118,122 @@ std::vector<ServerReply> BatchServer::AnswerBatch(const std::vector<BatchQuery>&
   return replies;
 }
 
+namespace {
+
+/// The shared traversal's policy (the algorithm of batch_server.h): every
+/// live query prunes, at push and again at pop; one charge per node for
+/// the cluster; the reach is the largest reach of the queries.
+struct ClusterPolicy {
+  const rtree::PackedTree& tree;
+  storage::NodePager* pager;
+  BatchServer::ClusterScratch& scratch;
+  /// The cluster's queries: a prefix of scratch.queries.
+  std::span<BatchServer::ClusterScratch::Query> queries;
+  rtree::AccessCounter* cluster_counter;
+
+  std::span<const uint32_t> WantedAt(uint32_t seq) const {
+    const BatchServer::ClusterScratch::Queued& queued = scratch.queued[seq];
+    return std::span<const uint32_t>(scratch.wanted_arena)
+        .subspan(queued.wanted_begin, queued.wanted_count);
+  }
+
+  /// One fetch per node for the whole cluster: attributed to the first
+  /// wanting query, classified shared when two or more queries read it, so
+  /// per-query misses partition the cluster's unique-page misses.
+  bool Charge(rtree::NodeId id, uint32_t seq) {
+    const std::span<const uint32_t> wanted =
+        seq == rtree::kExpanding ? std::span<const uint32_t>(scratch.live) : WantedAt(seq);
+    return rtree::ChargeBatchNodeAccess(tree, id,
+                                        &queries[wanted.front()].out->einn_accesses,
+                                        cluster_counter, wanted.size() >= 2, pager);
+  }
+
+  /// Queues the child under the least MINDIST of the expanding node's live
+  /// queries that want it; they are recorded, indexed by push sequence, in
+  /// the arena (which `live` never aliases). A query wants a node unless
+  /// the upper bound, downward pruning or its full candidate bag rules it
+  /// out; MINDIST equal to the worst candidate's distance survives, since
+  /// the node may hold a co-distant object of smaller id.
+  bool Queue(const rtree::PackedTree::Branch& b, uint32_t, double* key) {
+    const uint32_t begin = static_cast<uint32_t>(scratch.wanted_arena.size());
+    *key = kInf;
+    for (uint32_t j : scratch.live) {
+      const rtree::KnnState& p = queries[j].state;
+      const double mindist = b.mbr.MinDist(p.q());
+      if (!p.Admits(b.mbr, mindist, p.reach())) continue;
+      scratch.wanted_arena.push_back(j);
+      *key = std::min(*key, mindist);
+    }
+    const uint32_t count = static_cast<uint32_t>(scratch.wanted_arena.size()) - begin;
+    if (count == 0) return false;
+    scratch.queued.push_back({&b.mbr, begin, count});
+    return true;
+  }
+
+  void ScanLeaf(std::span<const rtree::ObjectEntry> objects) {
+    // Per-query state is independent: each live query scans the leaf.
+    for (uint32_t j : scratch.live) queries[j].state.Scan(objects);
+  }
+
+  /// The node's push-time wanting queries that still want it become the
+  /// live list; a node none wants is skipped unfetched.
+  bool Admit(const rtree::QueuedNode& item) {
+    const geom::Mbr& mbr = *scratch.queued[item.seq].mbr;
+    scratch.live.clear();
+    for (uint32_t j : WantedAt(item.seq)) {
+      const rtree::KnnState& p = queries[j].state;
+      if (p.Admits(mbr, mbr.MinDist(p.q()), p.reach())) scratch.live.push_back(j);
+    }
+    return !scratch.live.empty();
+  }
+
+  /// A query that needs no answer has reach -inf, so it never extends this.
+  double Reach() const {
+    double reach = -kInf;
+    for (const BatchServer::ClusterScratch::Query& p : queries) {
+      reach = std::max(reach, p.state.reach());
+    }
+    return reach;
+  }
+};
+
+}  // namespace
+
 void BatchServer::AnswerCluster(const std::vector<BatchQuery>& queries,
                                 const std::vector<size_t>& members,
                                 std::vector<ServerReply>* replies,
                                 obs::QueryTracer* tracer, obs::MetricsRegistry* metrics) {
-  const rtree::PackedTree& tree = server_->tree();
-  storage::NodePager* pager = server_->mutable_pager();
-  const rtree::AccessCountMode mode = server_->count_mode();
   const uint32_t m = static_cast<uint32_t>(members.size());
-
   obs::ScopedSpan span(tracer, obs::Phase::kServerBatchEinn);
 
-  // Per-query prune state: the sequential BestFirstNnIterator's bounds
-  // translated to the shared traversal, plus the bounded candidate heap that
-  // replaces the global queue's object entries.
-  struct PerQuery {
-    const BatchQuery* in = nullptr;
-    ServerReply* out = nullptr;
-    int needed = 0;
-    // Dynamic top-k bound: best k object distances fed to this query so far
-    // (lower-bound-known objects included, exactly like the sequential
-    // iterator).
-    std::priority_queue<double> best;
-    // Best `needed` eligible objects so far: max-heap under the system
-    // (distance, id) rank, front = worst.
-    std::vector<rtree::Neighbor> cand;
-  };
-  std::vector<PerQuery> pq(m);
+  // Per-query prune state: sequential EINN's state, with the bag sized to
+  // the answers the query still needs. The root is expanded for all of them.
+  // The states only grow in number, so their storage is reused.
+  if (scratch_.queries.size() < m) scratch_.queries.resize(m);
+  const std::span<ClusterScratch::Query> cluster(scratch_.queries.data(), m);
+  scratch_.queued.clear();
+  scratch_.wanted_arena.clear();
+  scratch_.live.clear();
   for (uint32_t j = 0; j < m; ++j) {
     const BatchQuery& bq = queries[members[j]];
-    pq[j].in = &bq;
-    pq[j].out = &(*replies)[members[j]];
-    pq[j].needed = std::max(0, bq.k - bq.already_certified);
+    cluster[j].out = &(*replies)[members[j]];
+    cluster[j].state.Reset(bq.q, bq.bounds, bq.k, std::max(0, bq.k - bq.already_certified));
+    scratch_.live.push_back(j);
   }
-
-  auto by_rank = [](const rtree::Neighbor& a, const rtree::Neighbor& b) {
-    return RanksBefore(a.distance, a.object.id, b.distance, b.object.id);
-  };
-  auto feed = [](PerQuery& p, double d) {
-    if (p.in->k <= 0) return;  // degenerate request: no bound to maintain
-    if (static_cast<int>(p.best.size()) < p.in->k) {
-      p.best.push(d);
-    } else if (d < p.best.top()) {
-      p.best.pop();
-      p.best.push(d);
-    }
-  };
-  auto eff_upper = [](const PerQuery& p) {
-    double upper = p.in->bounds.upper.value_or(kInf);
-    if (p.in->k > 0 && static_cast<int>(p.best.size()) >= p.in->k) {
-      upper = std::min(upper, p.best.top());
-    }
-    return upper;
-  };
-  // The largest MINDIST this query can still want: its effective upper
-  // bound, tightened to the worst candidate once the candidate heap is full.
-  auto reach = [&](const PerQuery& p) {
-    double limit = eff_upper(p);
-    if (static_cast<int>(p.cand.size()) >= p.needed) {
-      limit = std::min(limit, p.cand.front().distance);
-    }
-    return limit;
-  };
-  // The live-query prune rule: a query still wants a node unless the upper
-  // bound, downward (MAXDIST < lower) pruning, or its full candidate heap
-  // rules the node out. MINDIST == the worst candidate's distance survives
-  // the last test: the node may hold a co-distant object with a smaller id.
-  // MAXDIST only matters under a lower bound, so only then is it computed.
-  auto wants_node = [&](const PerQuery& p, const geom::Mbr& mbr, double mindist) {
-    if (p.needed <= 0) return false;
-    if (mindist > reach(p)) return false;
-    return !p.in->bounds.lower.has_value() || mbr.MaxDist(p.in->q) >= *p.in->bounds.lower;
-  };
-
-  // The shared node queue: min-over-wanting-queries MINDIST, equal keys in
-  // push order (node identity never enters the order).
-  // Each item's push-time wanting queries live in `wanted_arena` at
-  // [wanted_begin, wanted_begin + wanted_count), so a queued node costs no
-  // allocation of its own.
-  struct NodeItem {
-    double key = 0.0;
-    uint64_t seq = 0;
-    rtree::NodeId node = 0;
-    geom::Mbr mbr;
-    uint32_t wanted_begin = 0;
-    uint32_t wanted_count = 0;
-  };
-  struct NodeGreater {
-    bool operator()(const NodeItem& a, const NodeItem& b) const {
-      // senn-lint: allow(L5-float-eq): strict-weak-order tie detection —
-      // both keys come from the same MinDist code path, so equal means
-      // bit-identical, and exact ties must fall through to the FIFO rule.
-      if (a.key != b.key) return a.key > b.key;
-      return a.seq > b.seq;
-    }
-  };
-  // A binary heap under NodeGreater (the std::priority_queue algorithm,
-  // hence the same pop order), kept as a vector so pops move items out.
-  std::vector<NodeItem> queue;
-  std::vector<uint32_t> wanted_arena;
-  auto wanted_of = [&](const NodeItem& item) {
-    return std::span<const uint32_t>(wanted_arena)
-        .subspan(item.wanted_begin, item.wanted_count);
-  };
-  uint64_t push_seq = 0;
 
   rtree::AccessCounter cluster_counter;
-  // One fetch per node for the whole cluster (the double-charge fix):
-  // attributed to the first wanting query, classified shared when >= 2
-  // queries read it. Per-query misses therefore partition the cluster's
-  // unique-page misses.
-  auto charge = [&](rtree::NodeId node, std::span<const uint32_t> wanted) {
-    return rtree::ChargeBatchNodeAccess(tree, node, &pq[wanted.front()].out->einn_accesses,
-                                        &cluster_counter, wanted.size() >= 2, pager);
-  };
-
-  auto expand = [&](rtree::NodeId id, std::span<const uint32_t> wanted) {
-    const rtree::PackedTree::Node& node = tree.node(id);
-    if (node.IsLeaf()) {
-      for (const rtree::ObjectEntry& o : tree.objects(node)) {
-        for (uint32_t j : wanted) {
-          PerQuery& p = pq[j];
-          double d = geom::Dist(p.in->q, o.position);
-          // Lower-bound-known objects feed the dynamic bound but are never
-          // reported — including the boundary id-cut rule of the sequential
-          // iterator (knn.cc): a co-distant object past the client's rank
-          // cut lost the id tie-break and must still be reported.
-          if (p.in->bounds.lower.has_value() &&
-              (d < *p.in->bounds.lower ||
-               // senn-lint: allow(L5-float-eq): bit-exact boundary tie —
-               // the client's lower bound is a cached radius from the same
-               // Dist() chain; same rule as the sequential EINN leaf scan.
-               (d == *p.in->bounds.lower && o.id <= p.in->bounds.lower_id_cut))) {
-            feed(p, d);
-            continue;
-          }
-          if (d > eff_upper(p)) continue;
-          feed(p, d);
-          if (p.needed <= 0) continue;
-          if (static_cast<int>(p.cand.size()) < p.needed) {
-            p.cand.push_back({o, d});
-            std::push_heap(p.cand.begin(), p.cand.end(), by_rank);
-          } else if (RanksBefore(d, o.id, p.cand.front().distance,
-                                 p.cand.front().object.id)) {
-            std::pop_heap(p.cand.begin(), p.cand.end(), by_rank);
-            p.cand.back() = {o, d};
-            std::push_heap(p.cand.begin(), p.cand.end(), by_rank);
-          }
-        }
-      }
-      return;
-    }
-    for (const rtree::PackedTree::Branch& b : tree.branches(node)) {
-      NodeItem item;
-      item.node = b.child;
-      item.mbr = b.mbr;
-      item.wanted_begin = static_cast<uint32_t>(wanted_arena.size());
-      double key = kInf;
-      for (uint32_t j : wanted) {
-        const double mindist = b.mbr.MinDist(pq[j].in->q);
-        if (!wants_node(pq[j], b.mbr, mindist)) continue;
-        wanted_arena.push_back(j);
-        key = std::min(key, mindist);
-      }
-      item.wanted_count = static_cast<uint32_t>(wanted_arena.size()) - item.wanted_begin;
-      if (item.wanted_count == 0) continue;
-      item.key = key;
-      item.seq = push_seq++;
-      if (mode == rtree::AccessCountMode::kOnEnqueue) {
-        // Enqueue accounting fetches the child as it enters the queue;
-        // the pin is transient (expansion reads the queued copy).
-        if (charge(item.node, wanted_of(item))) pager->Unpin(item.node);
-      }
-      queue.push_back(item);
-      std::push_heap(queue.begin(), queue.end(), NodeGreater{});
-    }
-  };
-
-  // One buffer for the wanting queries of the node being expanded (`wanted`
-  // of expand never aliases the arena, which expand appends to).
-  std::vector<uint32_t> live(m);
-  for (uint32_t j = 0; j < m; ++j) live[j] = j;
-  // The root is always fetched once for the cluster, in both accounting
-  // modes — the batch mirror of the sequential constructor's root charge.
-  {
-    const bool pinned = charge(rtree::PackedTree::root(), live);
-    expand(rtree::PackedTree::root(), live);
-    if (pinned) pager->Unpin(rtree::PackedTree::root());
-  }
-
-  while (!queue.empty()) {
-    // Early stop: keys pop in non-decreasing order and every query's reach
-    // only shrinks, so once the front key exceeds the largest reach of any
-    // query still short of answers, no queued node will ever be wanted. The
-    // nodes left behind are exactly the dead pops of a full drain, which
-    // charge nothing (expand accounting) or were charged at push (enqueue
-    // accounting), so stopping moves no counter.
-    double max_reach = -kInf;
-    for (const PerQuery& p : pq) {
-      if (p.needed > 0) max_reach = std::max(max_reach, reach(p));
-    }
-    if (queue.front().key > max_reach) break;
-
-    std::pop_heap(queue.begin(), queue.end(), NodeGreater{});
-    const NodeItem item = queue.back();
-    queue.pop_back();
-    // Pop-time re-check against the tightened per-query state: a node every
-    // pushing query has since pruned is skipped — without a fetch in expand
-    // accounting (enqueue accounting already charged it, like the
-    // sequential iterator charges queued-but-prunable nodes).
-    live.clear();
-    for (uint32_t j : wanted_of(item)) {
-      if (wants_node(pq[j], item.mbr, item.mbr.MinDist(pq[j].in->q))) live.push_back(j);
-    }
-    if (live.empty()) continue;
-    bool pinned = false;
-    if (mode == rtree::AccessCountMode::kOnExpand) pinned = charge(item.node, live);
-    expand(item.node, live);
-    if (pinned) pager->Unpin(item.node);
-  }
+  ClusterPolicy policy{server_->tree(), server_->mutable_pager(), scratch_, cluster,
+                       &cluster_counter};
+  rtree::BestFirstSearch(server_->tree(), server_->count_mode(), server_->mutable_pager(),
+                         &scratch_.heap, policy);
 
   // Per-query finalization: candidates in ascending rank order become the
   // reply, then the ServerStats fold — exactly what QueryKnn records.
-  for (uint32_t j = 0; j < m; ++j) {
-    PerQuery& p = pq[j];
-    std::sort(p.cand.begin(), p.cand.end(), by_rank);
-    p.out->neighbors.reserve(p.cand.size());
-    for (const rtree::Neighbor& n : p.cand) {
-      p.out->neighbors.push_back({n.object.id, n.object.position, n.distance});
+  for (ClusterScratch::Query& p : cluster) {
+    const std::span<const rtree::Candidate> found = p.state.candidates.Sorted();
+    p.out->neighbors.reserve(found.size());
+    for (const rtree::Candidate& c : found) {
+      p.out->neighbors.push_back({c.object->id, c.object->position, c.distance});
     }
     server_->RecordAnsweredQuery(p.out->einn_accesses);
   }

@@ -9,38 +9,24 @@
 // group with ONE best-first traversal that keeps per-query bounds, so a page
 // wanted by several queries is fetched (and charged) once.
 //
-// Algorithm (per cluster of m >= 2 queries):
-//  * a single priority queue of index nodes ordered by the MINIMUM MINDIST
-//    over the queries that still want the node, equal keys popping in push
-//    order (deterministic FIFO — node identity never enters the order);
-//  * per query: the EINN prune state of the sequential iterator (static
-//    lower/upper bounds with the lower-bound id cut, the dynamic top-k bag)
-//    plus a bounded candidate max-heap under the system
-//    core::RanksBefore (distance, id) rank;
+// Algorithm: the best-first kernel (rtree/best_first.h; DESIGN.md 5⅔, 5¾) with
+// the cluster policy, per cluster of m >= 2 queries:
+//  * one queue of index nodes keyed by the MINIMUM MINDIST over the
+//    queries that want the node, equal keys in push order;
+//  * per query, sequential EINN's prune state (rtree::KnnState: static
+//    bounds with the lower-bound id cut, the dynamic top-k bound, a bounded
+//    candidate bag under the (distance, id) rank);
 //  * a node is skipped only when EVERY live query prunes it — by the upper
-//    bound, by downward (MAXDIST < lower) pruning, or because the query's
-//    candidate heap is full and MINDIST exceeds its worst candidate (a node
-//    that cannot improve any query's answer is dead weight);
-//  * each visited node is fetched ONCE through the storage engine and
-//    charged once (rtree::ChargeBatchNodeAccess), attributed to the first
-//    wanting query in cluster order and classified shared/private in the
-//    cluster counter, so per-query miss counts sum exactly to the shared
-//    traversal's unique-page count;
-//  * early stop: a query's REACH is its effective upper bound, tightened to
-//    its worst candidate once its candidate heap is full. Before each pop
-//    the traversal ends if the front key exceeds the largest reach over
-//    the queries still short of answers. Keys pop in non-decreasing order
-//    and every reach only shrinks, so no queued node could be wanted
-//    again: the nodes left behind are the dead pops of a full drain, which
-//    charge nothing (expand accounting) or were charged at push (enqueue
-//    accounting);
-//  * layout: the queue is a vector binary heap (push_heap/pop_heap under
-//    the same order as std::priority_queue, so the pop order is the same)
-//    of small fixed-size items. Each item's push-time wanting queries live
-//    in one per-cluster arena of cluster-local indices, referenced by
-//    (offset, count), and one reused buffer holds the pop-time live list,
-//    so queuing a node allocates nothing of its own. MAXDIST is computed
-//    only for queries that carry a lower bound.
+//    bound, downward (MAXDIST < lower) pruning, or a full candidate bag it
+//    cannot improve — at push and again at pop;
+//  * each visited node is fetched and charged ONCE for the cluster
+//    (rtree::ChargeBatchNodeAccess), attributed to the first wanting query
+//    and classified shared/private in the cluster counter, so per-query
+//    misses sum exactly to the traversal's unique-page misses;
+//  * early stop once the front key exceeds the largest reach (effective
+//    upper bound, tightened to the worst candidate once the bag is full)
+//    of the queries still short of answers: what is left are the dead pops
+//    of a full drain, so no counter moves.
 //
 // Equivalence contract (enforced by tests/core/batch_diff_test.cpp, not by
 // inspection): for system-consistent inputs — bounds computed by
@@ -51,7 +37,7 @@
 // outside the client's certain set, ascending by (distance, id), with
 // distances from the same geom::Dist evaluations. Singleton clusters (and
 // max_group == 1) delegate to SpatialServer::QueryKnn verbatim, so a batch
-// size of 1 is byte-identical to today's sequential path, accounting
+// size of 1 is byte-identical to the sequential path, accounting
 // included.
 #pragma once
 
@@ -60,7 +46,9 @@
 
 #include "src/core/server.h"
 #include "src/core/types.h"
+#include "src/geom/mbr.h"
 #include "src/geom/vec2.h"
+#include "src/rtree/best_first.h"
 #include "src/rtree/knn.h"
 #include "src/rtree/rstar_tree.h"
 
@@ -149,6 +137,28 @@ class BatchServer {
   const BatchOptions& options() const { return options_; }
   void ResetStats() { stats_ = BatchStats{}; }
 
+  /// The shared traversal's reusable state: the kernel heap, per query
+  /// its EINN state, and per queued node (indexed by push sequence) its MBR
+  /// and push-time wanting queries, a range of one arena of cluster-local
+  /// query indices. Reused from cluster to cluster.
+  struct ClusterScratch {
+    struct Query {
+      ServerReply* out = nullptr;
+      rtree::KnnState state;
+    };
+    struct Queued {
+      const geom::Mbr* mbr = nullptr;
+      uint32_t wanted_begin = 0;
+      uint32_t wanted_count = 0;
+    };
+    std::vector<rtree::QueuedNode> heap;
+    std::vector<Query> queries;
+    std::vector<Queued> queued;
+    std::vector<uint32_t> wanted_arena;
+    /// The wanting queries of the node being expanded.
+    std::vector<uint32_t> live;
+  };
+
  private:
   void AnswerCluster(const std::vector<BatchQuery>& queries,
                      const std::vector<size_t>& members,
@@ -158,6 +168,7 @@ class BatchServer {
   SpatialServer* server_;
   BatchOptions options_;
   BatchStats stats_;
+  ClusterScratch scratch_;
 };
 
 }  // namespace senn::core

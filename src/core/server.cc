@@ -1,7 +1,7 @@
 #include "src/core/server.h"
 
 #include <algorithm>
-#include <queue>
+#include <span>
 
 #include "src/core/range.h"
 #include "src/geom/region.h"
@@ -28,33 +28,83 @@ SpatialServer::SpatialServer(std::vector<Poi> pois, rtree::RStarTree::Options tr
   }
 }
 
+namespace {
+
+/// The region-aware search's policy: three pruning sources — the client's
+/// horizon (its k-th candidate distance, the state's upper bound), the
+/// running k-th-best distance over ALL objects seen (region-known ones
+/// included: they occupy result ranks on the client side), and region
+/// coverage of whole subtrees. The reach is the state's: that bound,
+/// tightened to the worst of the k best candidates outside the region.
+struct RegionPolicy {
+  const rtree::PackedTree& tree;
+  rtree::KnnState& state;
+  const std::vector<geom::Circle>& region;
+  rtree::AccessCounter* counter;
+  rtree::NodePageHook* hook;
+
+  bool Charge(rtree::NodeId id, uint32_t) {
+    return rtree::ChargeNodeAccess(tree, id, counter, hook);
+  }
+  bool Queue(const rtree::PackedTree::Branch& b, uint32_t, double* key) {
+    *key = b.mbr.MinDist(state.q());
+    if (*key > state.bound()) return false;
+    // Region-covered subtrees contain only client-known POIs. Skip them
+    // only once the dynamic bound is saturated: before that, reading them
+    // feeds the bound with true nearby distances (skipping early would
+    // widen the search and cost more than it saves).
+    return !state.bound_saturated() || !geom::MbrCoveredByDiskUnion(b.mbr, region);
+  }
+  void ScanLeaf(std::span<const rtree::ObjectEntry> objects) {
+    for (const rtree::ObjectEntry& o : objects) {
+      const double d = geom::Dist(state.q(), o.position);
+      if (d > state.bound()) continue;
+      state.Feed(d);
+      if (std::none_of(region.begin(), region.end(),
+                       [&](const geom::Circle& c) { return c.Contains(o.position); })) {
+        state.candidates.Offer(d, o);
+      }
+    }
+  }
+  bool Admit(const rtree::QueuedNode&) const { return true; }
+  double Reach() const { return state.reach(); }
+};
+
+/// Runs `search` inside a buffer_fetch span carrying the pool's hit, miss
+/// and eviction deltas; without a tracer or a pool there is no span.
+template <class Search>
+void InFetchSpan(const storage::NodePager* pager, obs::QueryTracer* tracer, Search&& search) {
+  obs::ScopedSpan fetch(pager != nullptr ? tracer : nullptr, obs::Phase::kBufferFetch);
+  const storage::BufferPoolStats before =
+      fetch.active() ? pager->pool().stats() : storage::BufferPoolStats{};
+  search();
+  if (!fetch.active()) return;
+  const storage::BufferPoolStats& after = pager->pool().stats();
+  fetch.AddArg("hits", after.hits - before.hits);
+  fetch.AddArg("misses", after.misses - before.misses);
+  fetch.AddArg("evictions", after.evictions - before.evictions);
+}
+
+}  // namespace
+
 ServerReply SpatialServer::QueryKnn(geom::Vec2 q, int k, rtree::PruneBounds bounds,
                                     int already_certified, obs::QueryTracer* tracer) {
   ServerReply reply;
-  int needed = k - already_certified;
-  if (needed < 0) needed = 0;
-
-  {
-    // EINN with the client's bounds, through the storage engine when one is
-    // configured; buffer_fetch brackets its pool activity.
-    obs::ScopedSpan fetch(pager_ != nullptr ? tracer : nullptr, obs::Phase::kBufferFetch);
-    const storage::BufferPoolStats before =
-        fetch.active() ? pager_->pool().stats() : storage::BufferPoolStats{};
-    rtree::BestFirstNnIterator einn(tree_, q, bounds, count_mode_, k, pager_.get());
-    while (static_cast<int>(reply.neighbors.size()) < needed) {
-      auto n = einn.Next();
-      if (!n.has_value()) break;
-      reply.neighbors.push_back({n->object.id, n->object.position, n->distance});
+  // EINN with the client's bounds, through the storage engine when one is
+  // configured.
+  InFetchSpan(pager_.get(), tracer, [&] {
+    const rtree::EinnQuery einn{.q = q,
+                                .bounds = bounds,
+                                .needed = std::max(0, k - already_certified),
+                                .prune_to_k = k,
+                                .count_mode = count_mode_};
+    const std::span<const rtree::Candidate> found =
+        rtree::EinnSearch(tree_, einn, &scratch_, &reply.einn_accesses, pager_.get());
+    reply.neighbors.reserve(found.size());
+    for (const rtree::Candidate& c : found) {
+      reply.neighbors.push_back({c.object->id, c.object->position, c.distance});
     }
-    reply.einn_accesses = einn.accesses();
-    if (fetch.active()) {
-      const storage::BufferPoolStats& after = pager_->pool().stats();
-      fetch.AddArg("hits", after.hits - before.hits);
-      fetch.AddArg("misses", after.misses - before.misses);
-      fetch.AddArg("evictions", after.evictions - before.evictions);
-    }
-  }
-
+  });
   RecordAnsweredQuery(reply.einn_accesses);
   return reply;
 }
@@ -68,87 +118,21 @@ ServerReply SpatialServer::QueryKnnWithRegion(geom::Vec2 q, int k, double horizo
     RecordAnsweredQuery(reply.einn_accesses);
     return reply;
   }
-  // Best-first search with three pruning sources: the client's horizon (its
-  // k-th candidate distance), the running k-th-best distance over ALL seen
-  // objects (region-known ones included — they occupy result ranks on the
-  // client side), and region coverage of whole subtrees. The queue is
-  // BestFirstNnIterator's, with its pop order.
-  std::priority_queue<rtree::BestFirstItem, std::vector<rtree::BestFirstItem>,
-                      rtree::BestFirstGreater>
-      queue{rtree::BestFirstGreater(&tree_)};
-  std::priority_queue<double> best;  // max-heap of the k best seen distances
-  auto effective_bound = [&]() {
-    double bound = horizon;
-    if (static_cast<int>(best.size()) >= k) bound = std::min(bound, best.top());
-    return bound;
-  };
-  auto feed = [&](double d) {
-    if (static_cast<int>(best.size()) < k) {
-      best.push(d);
-    } else if (d < best.top()) {
-      best.pop();
-      best.push(d);
+  InFetchSpan(pager_.get(), tracer, [&] {
+    rtree::PruneBounds bounds;
+    bounds.upper = horizon;
+    scratch_.query.Reset(q, bounds, k, k);
+    RegionPolicy policy{tree_, scratch_.query, region, &reply.einn_accesses, pager_.get()};
+    // Every expanded node is charged, whatever the server's count mode.
+    const double stop = rtree::BestFirstSearch(tree_, rtree::AccessCountMode::kOnExpand,
+                                               pager_.get(), &scratch_.heap, policy);
+    // A candidate is reported only while no queued node is nearer: those
+    // at or beyond the key that stopped the search stay unreported.
+    for (const rtree::Candidate& c : scratch_.query.candidates.Sorted()) {
+      if (c.distance >= stop) break;
+      reply.neighbors.push_back({c.object->id, c.object->position, c.distance});
     }
-  };
-  auto in_region = [&](geom::Vec2 p) {
-    for (const geom::Circle& c : region) {
-      if (c.Contains(p)) return true;
-    }
-    return false;
-  };
-  auto expand = [&](rtree::NodeId id) {
-    const bool pinned =
-        rtree::ChargeNodeAccess(tree_, id, &reply.einn_accesses, pager_.get());
-    const rtree::PackedTree::Node& node = tree_.node(id);
-    if (node.IsLeaf()) {
-      for (uint32_t i = node.first; i < node.first + node.count; ++i) {
-        const rtree::ObjectEntry& o = tree_.object(i);
-        double d = geom::Dist(q, o.position);
-        if (d > effective_bound()) continue;
-        feed(d);
-        if (!in_region(o.position)) queue.push({d, i, false});
-      }
-    } else {
-      for (const rtree::PackedTree::Branch& b : tree_.branches(node)) {
-        if (b.mbr.MinDist(q) > effective_bound()) continue;
-        // Region-covered subtrees contain only client-known POIs. Skip them
-        // only once the dynamic bound is saturated: before that, reading
-        // them feeds the bound with true nearby distances (skipping early
-        // would widen the search and cost more than it saves).
-        if (static_cast<int>(best.size()) >= k &&
-            geom::MbrCoveredByDiskUnion(b.mbr, region)) {
-          continue;
-        }
-        queue.push({b.mbr.MinDist(q), b.child, true});
-      }
-    }
-    if (pinned) pager_->Unpin(id);
-  };
-  {
-    obs::ScopedSpan fetch(pager_ != nullptr ? tracer : nullptr, obs::Phase::kBufferFetch);
-    const storage::BufferPoolStats before =
-        fetch.active() ? pager_->pool().stats() : storage::BufferPoolStats{};
-    expand(rtree::PackedTree::root());
-    while (!queue.empty()) {
-      const rtree::BestFirstItem item = queue.top();
-      if (item.key > effective_bound() && item.is_node) break;
-      queue.pop();
-      if (item.is_node) {
-        expand(item.index);
-      } else {
-        const rtree::ObjectEntry& o = tree_.object(item.index);
-        reply.neighbors.push_back({o.id, o.position, item.key});
-        if (static_cast<int>(reply.neighbors.size()) >= k) break;  // plenty for the merge
-      }
-    }
-    if (fetch.active()) {
-      const storage::BufferPoolStats& after = pager_->pool().stats();
-      fetch.AddArg("hits", after.hits - before.hits);
-      fetch.AddArg("misses", after.misses - before.misses);
-      fetch.AddArg("evictions", after.evictions - before.evictions);
-    }
-  }
-
+  });
   RecordAnsweredQuery(reply.einn_accesses);
   return reply;
 }
@@ -162,11 +146,15 @@ ServerReply SpatialServer::QueryRange(geom::Vec2 q, double radius, double inner)
 }
 
 rtree::AccessCounter SpatialServer::InnBaseline(geom::Vec2 q, int k) const {
-  rtree::BestFirstNnIterator inn(tree_, q, {}, count_mode_, k);
-  for (int i = 0; i < k; ++i) {
-    if (!inn.Next().has_value()) break;
-  }
-  return inn.accesses();
+  const rtree::EinnQuery inn{.q = q,
+                             .bounds = {},
+                             .needed = std::max(0, k),
+                             .prune_to_k = k,
+                             .count_mode = count_mode_};
+  rtree::BestFirstScratch scratch;
+  rtree::AccessCounter accesses;
+  rtree::EinnSearch(tree_, inn, &scratch, &accesses);
+  return accesses;
 }
 
 }  // namespace senn::core

@@ -148,6 +148,9 @@ class SpatialServer {
   rtree::AccessCountMode count_mode_;
   std::unique_ptr<storage::NodePager> pager_;
   ServerStats stats_;
+  /// The best-first kernel's heap and bags, reused by every QueryKnn and
+  /// QueryKnnWithRegion call (one query at a time, like the server).
+  rtree::BestFirstScratch scratch_;
 };
 
 }  // namespace senn::core

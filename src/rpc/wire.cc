@@ -1,5 +1,6 @@
 #include "src/rpc/wire.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -7,24 +8,33 @@
 namespace senn::rpc {
 namespace {
 
-// Little-endian primitive writers. Appending through shifts (not memcpy of
-// host memory) keeps the wire format byte-stable on any host endianness.
-void PutU8(uint8_t v, std::vector<uint8_t>* out) { out->push_back(v); }
-void PutU16(uint16_t v, std::vector<uint8_t>* out) {
-  out->push_back(static_cast<uint8_t>(v));
-  out->push_back(static_cast<uint8_t>(v >> 8));
+// Stores the low `bytes` bytes of `v` little-endian at *p and advances it
+// (two's complement for signed fields, so an int32 keeps its 4 bytes).
+// Shifts, not memcpy of host memory, keep the wire format byte-stable on
+// any host endianness.
+void Put(uint64_t v, int bytes, uint8_t** p) {
+  for (int i = 0; i < bytes; ++i) *(*p)++ = static_cast<uint8_t>(v >> (8 * i));
 }
-void PutU32(uint32_t v, std::vector<uint8_t>* out) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-void PutU64(uint64_t v, std::vector<uint8_t>* out) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-void PutI32(int32_t v, std::vector<uint8_t>* out) { PutU32(static_cast<uint32_t>(v), out); }
-void PutI64(int64_t v, std::vector<uint8_t>* out) { PutU64(static_cast<uint64_t>(v), out); }
 // IEEE-754 bit pattern: decoding reproduces the exact double, which is what
 // makes wire-transported replies bitwise-identical to in-process ones.
-void PutF64(double v, std::vector<uint8_t>* out) { PutU64(std::bit_cast<uint64_t>(v), out); }
+void PutF64(double v, uint8_t** p) { Put(std::bit_cast<uint64_t>(v), 8, p); }
+
+// Appends one frame in place: `out` grows once, to the frame's exact size,
+// the header is written, and the returned cursor is where the
+// `payload_len` payload bytes go.
+uint8_t* AppendFrame(Opcode opcode, uint64_t request_id, size_t payload_len,
+                     std::vector<uint8_t>* out) {
+  const size_t start = out->size();
+  out->resize(start + kHeaderSize + payload_len);
+  uint8_t* p = out->data() + start;
+  Put(kMagic, 4, &p);
+  Put(kProtocolVersion, 1, &p);
+  Put(static_cast<uint8_t>(opcode), 1, &p);
+  Put(0, 2, &p);  // reserved flags
+  Put(request_id, 8, &p);
+  Put(payload_len, 4, &p);
+  return p;
+}
 
 // Bounds-checked little-endian reader over one payload.
 class PayloadReader {
@@ -83,13 +93,18 @@ class PayloadReader {
   size_t pos_ = 0;
 };
 
-void PutCounter(const rtree::AccessCounter& c, std::vector<uint8_t>* out) {
-  PutU64(c.index_nodes, out);
-  PutU64(c.leaf_nodes, out);
-  PutU64(c.index_misses, out);
-  PutU64(c.leaf_misses, out);
-  PutU64(c.shared_misses, out);
-  PutU64(c.private_misses, out);
+constexpr size_t kCounterSize = 6 * 8;
+// Id, x, y and distance of one reply neighbor.
+constexpr size_t kNeighborSize = 32;
+static_assert(kCounterSize + 4 + kNeighborSize * static_cast<size_t>(kMaxKnnK) <=
+                  kDefaultMaxPayload,
+              "a reply to the largest valid k must fit one frame");
+
+void PutCounter(const rtree::AccessCounter& c, uint8_t** p) {
+  for (uint64_t v : {c.index_nodes, c.leaf_nodes, c.index_misses, c.leaf_misses,
+                     c.shared_misses, c.private_misses}) {
+    Put(v, 8, p);
+  }
 }
 
 bool ReadCounter(PayloadReader* r, rtree::AccessCounter* c) {
@@ -130,61 +145,54 @@ const char* ErrorCodeName(ErrorCode code) {
 
 void EncodeFrame(Opcode opcode, uint64_t request_id, const std::vector<uint8_t>& payload,
                  std::vector<uint8_t>* out) {
-  out->reserve(out->size() + kHeaderSize + payload.size());
-  PutU32(kMagic, out);
-  PutU8(kProtocolVersion, out);
-  PutU8(static_cast<uint8_t>(opcode), out);
-  PutU16(0, out);  // reserved flags
-  PutU64(request_id, out);
-  PutU32(static_cast<uint32_t>(payload.size()), out);
-  out->insert(out->end(), payload.begin(), payload.end());
+  uint8_t* p = AppendFrame(opcode, request_id, payload.size(), out);
+  std::copy(payload.begin(), payload.end(), p);
 }
 
 void EncodeKnnRequest(uint64_t request_id, const KnnRequest& request,
                       std::vector<uint8_t>* out) {
-  std::vector<uint8_t> payload;
-  PutF64(request.q.x, &payload);
-  PutF64(request.q.y, &payload);
-  PutI32(request.k, &payload);
-  PutI32(request.already_certified, &payload);
-  uint8_t flags = 0;
-  if (request.bounds.lower.has_value()) flags |= kHasLower;
-  if (request.bounds.upper.has_value()) flags |= kHasUpper;
-  PutU8(flags, &payload);
-  if (request.bounds.lower.has_value()) PutF64(*request.bounds.lower, &payload);
-  if (request.bounds.upper.has_value()) PutF64(*request.bounds.upper, &payload);
-  PutI64(request.bounds.lower_id_cut, &payload);
-  EncodeFrame(Opcode::kKnnRequest, request_id, payload, out);
+  const bool lower = request.bounds.lower.has_value();
+  const bool upper = request.bounds.upper.has_value();
+  // q, k, already_certified, flags, the present bounds, lower_id_cut.
+  const size_t len = 8 + 8 + 4 + 4 + 1 + (lower ? 8 : 0) + (upper ? 8 : 0) + 8;
+  uint8_t* p = AppendFrame(Opcode::kKnnRequest, request_id, len, out);
+  PutF64(request.q.x, &p);
+  PutF64(request.q.y, &p);
+  Put(static_cast<uint32_t>(request.k), 4, &p);
+  Put(static_cast<uint32_t>(request.already_certified), 4, &p);
+  Put((lower ? kHasLower : 0) | (upper ? kHasUpper : 0), 1, &p);
+  if (lower) PutF64(*request.bounds.lower, &p);
+  if (upper) PutF64(*request.bounds.upper, &p);
+  Put(static_cast<uint64_t>(request.bounds.lower_id_cut), 8, &p);
 }
 
 void EncodeKnnReply(uint64_t request_id, const core::ServerReply& reply,
                     std::vector<uint8_t>* out) {
-  std::vector<uint8_t> payload;
-  PutCounter(reply.einn_accesses, &payload);
-  PutU32(static_cast<uint32_t>(reply.neighbors.size()), &payload);
+  const size_t len = kCounterSize + 4 + kNeighborSize * reply.neighbors.size();
+  uint8_t* p = AppendFrame(Opcode::kKnnReply, request_id, len, out);
+  PutCounter(reply.einn_accesses, &p);
+  Put(reply.neighbors.size(), 4, &p);
   for (const core::RankedPoi& n : reply.neighbors) {
-    PutI64(n.id, &payload);
-    PutF64(n.position.x, &payload);
-    PutF64(n.position.y, &payload);
-    PutF64(n.distance, &payload);
+    Put(static_cast<uint64_t>(n.id), 8, &p);
+    PutF64(n.position.x, &p);
+    PutF64(n.position.y, &p);
+    PutF64(n.distance, &p);
   }
-  EncodeFrame(Opcode::kKnnReply, request_id, payload, out);
 }
 
 void EncodeError(uint64_t request_id, const ErrorReply& error, std::vector<uint8_t>* out) {
-  std::vector<uint8_t> payload;
-  PutU32(static_cast<uint32_t>(error.code), &payload);
-  PutU32(static_cast<uint32_t>(error.message.size()), &payload);
-  payload.insert(payload.end(), error.message.begin(), error.message.end());
-  EncodeFrame(Opcode::kError, request_id, payload, out);
+  uint8_t* p = AppendFrame(Opcode::kError, request_id, 4 + 4 + error.message.size(), out);
+  Put(static_cast<uint32_t>(error.code), 4, &p);
+  Put(error.message.size(), 4, &p);
+  std::copy(error.message.begin(), error.message.end(), p);
 }
 
 void EncodePing(uint64_t request_id, std::vector<uint8_t>* out) {
-  EncodeFrame(Opcode::kPing, request_id, {}, out);
+  AppendFrame(Opcode::kPing, request_id, 0, out);
 }
 
 void EncodePong(uint64_t request_id, std::vector<uint8_t>* out) {
-  EncodeFrame(Opcode::kPong, request_id, {}, out);
+  AppendFrame(Opcode::kPong, request_id, 0, out);
 }
 
 Result<KnnRequest> DecodeKnnRequest(const std::vector<uint8_t>& payload) {
@@ -220,9 +228,9 @@ Result<core::ServerReply> DecodeKnnReply(const std::vector<uint8_t>& payload) {
   if (!ReadCounter(&r, &reply.einn_accesses) || !r.ReadU32(&count)) {
     return Truncated("kKnnReply");
   }
-  // 32 bytes per neighbor: a count larger than the remaining payload is a
+  // kNeighborSize bytes per neighbor: a count larger than the remaining payload is a
   // corrupt length, not a reason to allocate count entries up front.
-  if (static_cast<uint64_t>(count) * 32 != r.remaining()) {
+  if (static_cast<uint64_t>(count) * kNeighborSize != r.remaining()) {
     return Status::InvalidArgument("kKnnReply neighbor count disagrees with payload size");
   }
   reply.neighbors.reserve(count);
@@ -255,6 +263,10 @@ Status ValidateKnnRequest(const KnnRequest& request) {
     return Status::InvalidArgument("query coordinates must be finite");
   }
   if (request.k <= 0) return Status::InvalidArgument("k must be positive");
+  if (request.k > kMaxKnnK) {
+    return Status::InvalidArgument("k exceeds " + std::to_string(kMaxKnnK) +
+                                   ": the reply would not fit one frame");
+  }
   if (request.already_certified < 0 || request.already_certified > request.k) {
     return Status::InvalidArgument("already_certified must lie in [0, k]");
   }

@@ -59,6 +59,11 @@ inline constexpr size_t kHeaderSize = 20;
 /// server_request_k neighbors (32 bytes each), so 1 MiB is generous;
 /// anything larger is a corrupt or hostile length field.
 inline constexpr size_t kDefaultMaxPayload = 1u << 20;
+/// The largest k a request may carry. A reply holds at most k neighbors of
+/// 32 bytes after its 52-byte counter and count, and a reply larger than
+/// kDefaultMaxPayload would poison the client's decoder; a huge k would
+/// also make one request scan the whole tree.
+inline constexpr int32_t kMaxKnnK = static_cast<int32_t>((kDefaultMaxPayload - 52) / 32);
 
 enum class Opcode : uint8_t {
   kKnnRequest = 1,
@@ -142,7 +147,7 @@ Result<core::ServerReply> DecodeKnnReply(const std::vector<uint8_t>& payload);
 Result<ErrorReply> DecodeError(const std::vector<uint8_t>& payload);
 
 /// Semantic validation applied at the protocol boundary, before a request
-/// may reach the query engine: finite coordinates, k > 0,
+/// may reach the query engine: finite coordinates, 0 < k <= kMaxKnnK,
 /// 0 <= already_certified <= k, finite non-negative bounds with
 /// lower <= upper. Returns InvalidArgument describing the first violation.
 Status ValidateKnnRequest(const KnnRequest& request);

@@ -67,6 +67,25 @@ void DfVisit(const PackedTree& tree, NodeId node_id, Vec2 query, int k,
   }
 }
 
+/// Sequential EINN: prune at push against the static bounds and the
+/// dynamic k-th distance, no pop-time re-check, reach = the worst of the
+/// `needed` best candidates once there are that many.
+struct EinnPolicy {
+  const PackedTree& tree;
+  KnnState& state;
+  AccessCounter* counter;
+  NodePageHook* hook;
+
+  bool Charge(NodeId id, uint32_t) { return ChargeNodeAccess(tree, id, counter, hook); }
+  bool Queue(const PackedTree::Branch& b, uint32_t, double* key) {
+    *key = b.mbr.MinDist(state.q());
+    return state.Admits(b.mbr, *key, state.bound());
+  }
+  void ScanLeaf(std::span<const ObjectEntry> objects) { state.Scan(objects); }
+  bool Admit(const QueuedNode&) const { return true; }
+  double Reach() const { return state.candidates.Reach(); }
+};
+
 }  // namespace
 
 std::vector<Neighbor> DepthFirstKnn(const PackedTree& tree, Vec2 query, int k,
@@ -81,121 +100,25 @@ std::vector<Neighbor> DepthFirstKnn(const PackedTree& tree, Vec2 query, int k,
   return best;
 }
 
-BestFirstNnIterator::BestFirstNnIterator(const PackedTree& tree, Vec2 query,
-                                         PruneBounds bounds, AccessCountMode count_mode,
-                                         std::optional<int> prune_to_k, NodePageHook* hook)
-    : tree_(&tree),
-      query_(query),
-      bounds_(bounds),
-      count_mode_(count_mode),
-      prune_to_k_(prune_to_k),
-      hook_(hook),
-      queue_(BestFirstGreater(&tree)) {
-  // The root page is always fetched (in both accounting modes).
-  const bool pinned = ChargeNodeAccess(tree, PackedTree::root(), &accesses_, hook_);
-  ExpandNode(PackedTree::root());
-  if (pinned) hook_->Unpin(PackedTree::root());
-}
-
-void BestFirstNnIterator::FeedDynamicBound(double distance) {
-  // prune_to_k <= 0 declares no interest in any object; the degenerate bag
-  // stays empty (top() on it would be UB) and the static bounds do all
-  // pruning.
-  if (!prune_to_k_.has_value() || *prune_to_k_ <= 0) return;
-  if (static_cast<int>(best_distances_.size()) < *prune_to_k_) {
-    best_distances_.push(distance);
-  } else if (distance < best_distances_.top()) {
-    best_distances_.pop();
-    best_distances_.push(distance);
-  }
-}
-
-double BestFirstNnIterator::EffectiveUpper() const {
-  double upper = bounds_.upper.value_or(std::numeric_limits<double>::infinity());
-  if (prune_to_k_.has_value() && *prune_to_k_ > 0 &&
-      static_cast<int>(best_distances_.size()) >= *prune_to_k_) {
-    upper = std::min(upper, best_distances_.top());
-  }
-  return upper;
-}
-
-void BestFirstNnIterator::ExpandNode(NodeId id) {
-  // Accesses are charged by the caller: the constructor for the root, and
-  // Next() (kOnExpand) or the enqueue site below (kOnEnqueue) otherwise, so
-  // the page stays pinned exactly while the entries are read here.
-  const PackedTree::Node& node = tree_->node(id);
-  if (node.IsLeaf()) {
-    for (uint32_t i = node.first; i < node.first + node.count; ++i) {
-      const ObjectEntry& o = tree_->object(i);
-      double d = geom::Dist(query_, o.position);
-      // Objects inside the certain disk are already known to the client;
-      // they still witness the dynamic top-k bound. On the disk's boundary
-      // the client holds only the ids up to its rank cut — a co-distant
-      // object past the cut was tie-broken out of the client's certain
-      // prefix and must be reported like any other candidate.
-      if (bounds_.lower.has_value() &&
-          (d < *bounds_.lower ||
-           // senn-lint: allow(L5-float-eq): bit-exact boundary tie — the
-           // client's lower bound is the cached radius from the same Dist()
-           // chain, and the id cut keeps co-distant tie-losers reportable.
-           (d == *bounds_.lower && o.id <= bounds_.lower_id_cut))) {
-        FeedDynamicBound(d);
-        continue;
-      }
-      if (d > EffectiveUpper()) continue;
-      FeedDynamicBound(d);
-      queue_.push({d, i, false});
-    }
-    return;
-  }
-  for (const PackedTree::Branch& b : tree_->branches(node)) {
-    double mindist = b.mbr.MinDist(query_);
-    // Upward pruning: the true kNN all lie within the upper bound (the
-    // shipped client bound and/or the running k-th-best distance).
-    if (mindist > EffectiveUpper()) continue;
-    // Downward pruning: MBRs fully inside the certain disk C_r contain
-    // only POIs the client has already verified.
-    if (bounds_.lower.has_value() && b.mbr.MaxDist(query_) < *bounds_.lower) continue;
-    if (count_mode_ == AccessCountMode::kOnEnqueue) {
-      // Enqueue accounting fetches the child page as it enters the queue;
-      // the pin is transient (expansion later reads the queued copy).
-      if (ChargeNodeAccess(*tree_, b.child, &accesses_, hook_)) hook_->Unpin(b.child);
-    }
-    queue_.push({mindist, b.child, true});
-  }
-}
-
-std::optional<Neighbor> BestFirstNnIterator::Next() {
-  while (!queue_.empty()) {
-    const BestFirstItem item = queue_.top();
-    queue_.pop();
-    if (!item.is_node) return Neighbor{tree_->object(item.index), item.key};
-    // Only non-root nodes reach the queue, so charging every expansion here
-    // matches the historical "root at init, others on expand" counting.
-    bool pinned = false;
-    if (count_mode_ == AccessCountMode::kOnExpand) {
-      pinned = ChargeNodeAccess(*tree_, item.index, &accesses_, hook_);
-    }
-    ExpandNode(item.index);
-    if (pinned) hook_->Unpin(item.index);
-  }
-  return std::nullopt;
+std::span<const Candidate> EinnSearch(const PackedTree& tree, const EinnQuery& query,
+                                      BestFirstScratch* scratch, AccessCounter* counter,
+                                      NodePageHook* hook) {
+  scratch->query.Reset(query.q, query.bounds, query.prune_to_k, query.needed);
+  EinnPolicy policy{tree, scratch->query, counter, hook};
+  BestFirstSearch(tree, query.count_mode, hook, &scratch->heap, policy);
+  return scratch->query.candidates.Sorted();
 }
 
 std::vector<Neighbor> BestFirstKnn(const PackedTree& tree, Vec2 query, int k,
                                    PruneBounds bounds, AccessCounter* counter,
                                    NodePageHook* hook) {
+  if (k <= 0) return {};
+  const EinnQuery einn{.q = query, .bounds = bounds, .needed = k};
+  BestFirstScratch scratch;
   std::vector<Neighbor> out;
-  if (k <= 0) return out;
-  BestFirstNnIterator it(tree, query, bounds, AccessCountMode::kOnExpand, std::nullopt,
-                         hook);
-  out.reserve(static_cast<size_t>(k));
-  while (static_cast<int>(out.size()) < k) {
-    std::optional<Neighbor> n = it.Next();
-    if (!n.has_value()) break;
-    out.push_back(*n);
+  for (const Candidate& c : EinnSearch(tree, einn, &scratch, counter, hook)) {
+    out.push_back({*c.object, c.distance});
   }
-  if (counter != nullptr) *counter += it.accesses();
   return out;
 }
 

@@ -59,9 +59,6 @@ class PackedTree {
   std::span<const ObjectEntry> objects(const Node& node) const {
     return std::span<const ObjectEntry>(objects_).subspan(node.first, node.count);
   }
-  /// An object by its index in the leaf array (the best-first queue's
-  /// object reference).
-  const ObjectEntry& object(uint32_t index) const { return objects_[index]; }
 
   /// Number of nodes (== pages).
   size_t node_count() const { return nodes_.size(); }

@@ -119,7 +119,7 @@ struct SimulationConfig {
   double road_block_spacing_m = -1.0;
 
   /// How the server charges R*-tree page accesses (Figure 17 uses
-  /// kOnEnqueue; see rtree/knn.h for the two accounting styles).
+  /// kOnEnqueue; see rtree/best_first.h for the two accounting styles).
   rtree::AccessCountMode page_count_mode = rtree::AccessCountMode::kOnExpand;
 
   /// Wireless channel of the P2P exchange (src/net/). The default is the

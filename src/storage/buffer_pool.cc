@@ -30,7 +30,7 @@ BufferPool::FetchResult BufferPool::Fetch(PageId id) {
     Frame& frame = *frames_[it->second];
     frame.pins += 1;
     frame.referenced = true;
-    frame.last_use = ++tick_;
+    Touch(it->second);
     ++stats_.logical;
     ++stats_.hits;
     return {&frame.page, false};
@@ -41,6 +41,7 @@ BufferPool::FetchResult BufferPool::Fetch(PageId id) {
   size_t index;
   if (options_.capacity_pages == 0 || frames_.size() < options_.capacity_pages) {
     frames_.push_back(std::make_unique<Frame>());
+    recency_.emplace_back();
     index = frames_.size() - 1;
   } else {
     index = PickVictim();
@@ -53,7 +54,7 @@ BufferPool::FetchResult BufferPool::Fetch(PageId id) {
   frame.page.data.fill(std::byte{0});  // no stale bytes from the evicted page
   frame.pins = 1;
   frame.referenced = true;
-  frame.last_use = ++tick_;
+  Touch(index);
   table_[id] = index;
   ++stats_.logical;
   ++stats_.misses;
@@ -96,19 +97,28 @@ size_t BufferPool::PickVictim() {
 }
 
 size_t BufferPool::PickVictimLru() const {
-  // Least recently fetched among the unpinned frames. Ticks are unique, so
-  // the choice is total-ordered and deterministic.
-  size_t victim = kNoFrame;
-  uint64_t oldest = 0;
-  for (size_t i = 0; i < frames_.size(); ++i) {
-    const Frame& frame = *frames_[i];
-    if (frame.pins > 0) continue;
-    if (victim == kNoFrame || frame.last_use < oldest) {
-      victim = i;
-      oldest = frame.last_use;
-    }
+  // Least recently fetched among the unpinned frames: the first unpinned
+  // frame from the least recent end.
+  for (size_t i = least_recent_; i != kNoFrame; i = recency_[i].next) {
+    if (frames_[i]->pins == 0) return i;
   }
-  return victim;
+  return kNoFrame;
+}
+
+void BufferPool::Touch(size_t index) {
+  if (index == most_recent_) return;
+  RecencyLink& link = recency_[index];
+  // Unlink (a frame fresh from growth has no neighbors and is not the
+  // least recent one, so this is a no-op for it).
+  if (link.prev != kNoFrame) recency_[link.prev].next = link.next;
+  if (link.next != kNoFrame) recency_[link.next].prev = link.prev;
+  if (least_recent_ == index) least_recent_ = link.next;
+  // Append at the most recent end.
+  link.prev = most_recent_;
+  link.next = kNoFrame;
+  if (most_recent_ != kNoFrame) recency_[most_recent_].next = index;
+  most_recent_ = index;
+  if (least_recent_ == kNoFrame) least_recent_ = index;
 }
 
 size_t BufferPool::PickVictimClock() {

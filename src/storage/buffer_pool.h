@@ -12,9 +12,13 @@
 // section rather than adding a second lock layer here.
 //
 // Determinism: eviction decisions depend only on the fetch/unpin sequence —
-// frames are scanned by index, recency is a logical tick counter, and no
-// hash-map iteration order ever reaches a decision — so a simulation with a
-// bounded pool remains a pure function of its config.
+// LRU recency is an intrusive list of frame indices that every fetch moves
+// its frame to the back of, CLOCK sweeps frames by index, and no hash-map
+// iteration order ever reaches a decision — so a simulation with a bounded
+// pool remains a pure function of its config. The LRU victim is the first
+// unpinned frame from the front of the list: the least recently fetched
+// unpinned frame, found after skipping only the (few, transiently) pinned
+// ones.
 #pragma once
 
 #include <cstddef>
@@ -70,14 +74,21 @@ class BufferPool {
     Page page;
     uint32_t pins = 0;
     bool referenced = false;  // CLOCK second-chance bit
-    uint64_t last_use = 0;    // LRU recency (logical fetch tick)
   };
   static constexpr size_t kNoFrame = static_cast<size_t>(-1);
+  /// A frame's neighbors in the recency list (kNoFrame at either end).
+  struct RecencyLink {
+    size_t prev = kNoFrame;
+    size_t next = kNoFrame;
+  };
 
   /// Index of the frame to evict, or kNoFrame when every frame is pinned.
   size_t PickVictim();
   size_t PickVictimLru() const;
   size_t PickVictimClock();
+  /// Moves frame `index` (appended when it is not yet listed) to the most
+  /// recent end of the recency list.
+  void Touch(size_t index);
 
   BufferPoolOptions options_;
   BufferPoolStats stats_;
@@ -85,7 +96,11 @@ class BufferPool {
   std::vector<std::unique_ptr<Frame>> frames_;
   std::unordered_map<PageId, size_t> table_;  // page id -> frame index
   size_t clock_hand_ = 0;
-  uint64_t tick_ = 0;
+  // Recency list over frame indices, least recently fetched first; kept
+  // apart from the frames so relinking touches no page memory.
+  std::vector<RecencyLink> recency_;
+  size_t least_recent_ = kNoFrame;
+  size_t most_recent_ = kNoFrame;
 };
 
 /// RAII pin: fetches on construction, unpins on destruction. `hit()` and

@@ -162,5 +162,34 @@ TEST(LoopbackTest, PingRoundTripsThroughTheService) {
   EXPECT_EQ(service.stats().pings, 1u);
 }
 
+TEST(LoopbackTest, LargestValidKFitsOneReplyFrameAndLargerKIsRejected) {
+  // More POIs than kMaxKnnK, so the largest valid k gets a full reply: the
+  // biggest frame a valid request can produce must still decode, and a
+  // larger k must be refused before it reaches the engine, leaving the
+  // connection usable.
+  Rng rng = Rng(20060403).Stream("loopback/max-k");
+  core::SpatialServer served(RandomPois(kMaxKnnK + 1000, &rng, 10000.0));
+  QueryService service(&served, {});
+  LoopbackTransport transport(&service);
+  Client client(&transport);
+
+  KnnRequest request;
+  request.q = {5000, 5000};
+  request.k = kMaxKnnK;
+  Result<core::ServerReply> largest = client.Knn(request);
+  ASSERT_TRUE(largest.ok()) << largest.status().message();
+  EXPECT_EQ(largest->neighbors.size(), static_cast<size_t>(kMaxKnnK));
+
+  request.k = kMaxKnnK + 1;
+  Result<core::ServerReply> rejected = client.Knn(request);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), Status::Code::kInvalidArgument);
+
+  request.k = 5;
+  Result<core::ServerReply> after = client.Knn(request);
+  ASSERT_TRUE(after.ok()) << after.status().message();
+  EXPECT_EQ(after->neighbors.size(), 5u);
+}
+
 }  // namespace
 }  // namespace senn::rpc

@@ -79,6 +79,23 @@ TEST_F(ValidationTest, NonPositiveKGetsInvalidArgument) {
   ExpectError(replies[1], ErrorCode::kInvalidArgument, 2);
 }
 
+TEST_F(ValidationTest, KAboveTheReplyCapGetsInvalidArgument) {
+  std::vector<uint8_t> bytes;
+  EncodeKnnRequest(1, BadRequest(10, 10, kMaxKnnK + 1), &bytes);
+  EncodeKnnRequest(2, BadRequest(10, 10, std::numeric_limits<int32_t>::max()), &bytes);
+  EncodeKnnRequest(3, BadRequest(10, 10, kMaxKnnK, kMaxKnnK), &bytes);
+  std::vector<Frame> replies = Exchange(bytes);
+  ASSERT_EQ(replies.size(), 3u);
+  ExpectError(replies[0], ErrorCode::kInvalidArgument, 1);
+  ExpectError(replies[1], ErrorCode::kInvalidArgument, 2);
+  // k == kMaxKnnK is valid (here every answer is client-certified).
+  EXPECT_EQ(replies[2].opcode(), Opcode::kKnnReply);
+  EXPECT_EQ(kMaxKnnK, 32766);
+  EXPECT_TRUE(ValidateKnnRequest(BadRequest(10, 10, kMaxKnnK)).ok());
+  EXPECT_EQ(ValidateKnnRequest(BadRequest(10, 10, kMaxKnnK + 1)).code(),
+            Status::Code::kInvalidArgument);
+}
+
 TEST_F(ValidationTest, NonFiniteCoordinatesGetInvalidArgument) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();

@@ -1,5 +1,5 @@
 // Tests of the two page-access accounting modes and the dynamic top-k
-// pruning of the best-first iterator (the realistic INN baseline).
+// pruning of the sequential EINN search (the realistic INN baseline).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +11,24 @@ namespace senn::rtree {
 namespace {
 
 using geom::Vec2;
+
+// The first `needed` results of an EINN search; accesses into `counter`.
+std::vector<Neighbor> Einn(const PackedTree& tree, Vec2 q, int needed, PruneBounds bounds = {},
+                           AccessCountMode mode = AccessCountMode::kOnExpand,
+                           int prune_to_k = 0, AccessCounter* counter = nullptr) {
+  EinnQuery query;
+  query.q = q;
+  query.bounds = bounds;
+  query.needed = needed;
+  query.prune_to_k = prune_to_k;
+  query.count_mode = mode;
+  BestFirstScratch scratch;
+  std::vector<Neighbor> out;
+  for (const Candidate& c : EinnSearch(tree, query, &scratch, counter)) {
+    out.push_back({*c.object, c.distance});
+  }
+  return out;
+}
 
 PackedTree BuildTree(int n, uint64_t seed) {
   Rng rng(seed);
@@ -26,16 +44,16 @@ TEST(CountModeTest, EnqueueCountsAtLeastExpand) {
   Rng rng(2);
   for (int trial = 0; trial < 30; ++trial) {
     Vec2 q{rng.Uniform(0, 1000), rng.Uniform(0, 1000)};
-    BestFirstNnIterator expand_it(tree, q, {}, AccessCountMode::kOnExpand);
-    BestFirstNnIterator enqueue_it(tree, q, {}, AccessCountMode::kOnEnqueue);
-    for (int i = 0; i < 10; ++i) {
-      auto a = expand_it.Next();
-      auto b = enqueue_it.Next();
-      ASSERT_TRUE(a.has_value());
-      ASSERT_TRUE(b.has_value());
-      EXPECT_EQ(a->object.id, b->object.id);  // accounting must not change results
+    AccessCounter expand, enqueue;
+    const std::vector<Neighbor> a = Einn(tree, q, 10, {}, AccessCountMode::kOnExpand, 0, &expand);
+    const std::vector<Neighbor> b =
+        Einn(tree, q, 10, {}, AccessCountMode::kOnEnqueue, 0, &enqueue);
+    ASSERT_EQ(a.size(), 10u);
+    ASSERT_EQ(b.size(), 10u);
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].object.id, b[i].object.id);  // accounting must not change results
     }
-    EXPECT_GE(enqueue_it.accesses().total(), expand_it.accesses().total());
+    EXPECT_GE(enqueue.total(), expand.total());
   }
 }
 
@@ -45,14 +63,12 @@ TEST(CountModeTest, DynamicBoundDoesNotChangeResults) {
   for (int trial = 0; trial < 30; ++trial) {
     Vec2 q{rng.Uniform(0, 1000), rng.Uniform(0, 1000)};
     const int k = 15;
-    BestFirstNnIterator plain(tree, q);
-    BestFirstNnIterator pruned(tree, q, {}, AccessCountMode::kOnExpand, k);
-    for (int i = 0; i < k; ++i) {
-      auto a = plain.Next();
-      auto b = pruned.Next();
-      ASSERT_TRUE(a.has_value());
-      ASSERT_TRUE(b.has_value());
-      EXPECT_EQ(a->object.id, b->object.id) << "trial " << trial << " rank " << i;
+    const std::vector<Neighbor> plain = Einn(tree, q, k);
+    const std::vector<Neighbor> pruned = Einn(tree, q, k, {}, AccessCountMode::kOnExpand, k);
+    ASSERT_EQ(plain.size(), static_cast<size_t>(k));
+    ASSERT_EQ(pruned.size(), static_cast<size_t>(k));
+    for (size_t i = 0; i < plain.size(); ++i) {
+      EXPECT_EQ(plain[i].object.id, pruned[i].object.id) << "trial " << trial << " rank " << i;
     }
   }
 }
@@ -64,14 +80,11 @@ TEST(CountModeTest, DynamicBoundReducesEnqueues) {
   for (int trial = 0; trial < 50; ++trial) {
     Vec2 q{rng.Uniform(0, 1000), rng.Uniform(0, 1000)};
     const int k = 10;
-    BestFirstNnIterator plain(tree, q, {}, AccessCountMode::kOnEnqueue);
-    BestFirstNnIterator pruned(tree, q, {}, AccessCountMode::kOnEnqueue, k);
-    for (int i = 0; i < k; ++i) {
-      plain.Next();
-      pruned.Next();
-    }
-    plain_total += plain.accesses().total();
-    pruned_total += pruned.accesses().total();
+    AccessCounter plain, pruned;
+    Einn(tree, q, k, {}, AccessCountMode::kOnEnqueue, 0, &plain);
+    Einn(tree, q, k, {}, AccessCountMode::kOnEnqueue, k, &pruned);
+    plain_total += plain.total();
+    pruned_total += pruned.total();
   }
   EXPECT_LT(pruned_total, plain_total);
 }
@@ -79,25 +92,24 @@ TEST(CountModeTest, DynamicBoundReducesEnqueues) {
 TEST(CountModeTest, DynamicBoundPrunesTheTail) {
   const PackedTree tree = BuildTree(200, 7);
   const int k = 5;
-  BestFirstNnIterator it(tree, {500, 500}, {}, AccessCountMode::kOnExpand, k);
+  // Asking for all 200 objects drains the search: it reports whatever
+  // survived the dynamic bound.
+  const std::vector<Neighbor> all =
+      Einn(tree, {500, 500}, 200, {}, AccessCountMode::kOnExpand, k);
   std::vector<Neighbor> truth = BestFirstKnn(tree, {500, 500}, k);
-  int count = 0;
-  while (auto n = it.Next()) {
-    if (count < k) {
-      // The first k results are the exact top-k.
-      EXPECT_EQ(n->object.id, truth[static_cast<size_t>(count)].object.id);
-    }
-    ++count;
+  ASSERT_GE(all.size(), static_cast<size_t>(k));
+  for (size_t i = 0; i < static_cast<size_t>(k); ++i) {
+    // The first k results are the exact top-k.
+    EXPECT_EQ(all[i].object.id, truth[i].object.id);
   }
   // Everything beyond rank k is best-effort; most of the 200 objects must
   // have been pruned away.
-  EXPECT_GE(count, k);
-  EXPECT_LT(count, 100);
+  EXPECT_LT(all.size(), 100u);
 }
 
 TEST(CountModeTest, LowerBoundWithPruneToKReturnsCorrectRemainder) {
   // The prune_to_k contract: known objects inside the lower bound count
-  // toward k, so the iterator yields exactly the ranks after the client's
+  // toward k, so the search yields exactly the ranks after the client's
   // certified prefix.
   const PackedTree tree = BuildTree(1000, 8);
   Rng rng(9);
@@ -108,11 +120,12 @@ TEST(CountModeTest, LowerBoundWithPruneToKReturnsCorrectRemainder) {
     PruneBounds bounds;
     bounds.lower = truth[certified - 1].distance;
     bounds.upper = truth.back().distance;
-    BestFirstNnIterator it(tree, q, bounds, AccessCountMode::kOnExpand, k);
+    const std::vector<Neighbor> rest =
+        Einn(tree, q, k - certified, bounds, AccessCountMode::kOnExpand, k);
+    ASSERT_EQ(rest.size(), static_cast<size_t>(k - certified)) << "trial " << trial;
     for (int i = certified; i < k; ++i) {
-      auto n = it.Next();
-      ASSERT_TRUE(n.has_value()) << "trial " << trial << " rank " << i;
-      EXPECT_EQ(n->object.id, truth[static_cast<size_t>(i)].object.id);
+      EXPECT_EQ(rest[static_cast<size_t>(i - certified)].object.id,
+                truth[static_cast<size_t>(i)].object.id);
     }
   }
 }
@@ -128,11 +141,10 @@ TEST(CountModeTest, EinnNeverEnqueuesMoreThanInn) {
     bounds.lower = truth[certified - 1].distance;
     bounds.upper = truth.back().distance;
     for (AccessCountMode mode : {AccessCountMode::kOnExpand, AccessCountMode::kOnEnqueue}) {
-      BestFirstNnIterator einn(tree, q, bounds, mode, k);
-      BestFirstNnIterator inn(tree, q, {}, mode, k);
-      for (int i = 0; i < k - certified; ++i) einn.Next();
-      for (int i = 0; i < k; ++i) inn.Next();
-      EXPECT_LE(einn.accesses().total(), inn.accesses().total())
+      AccessCounter einn, inn;
+      Einn(tree, q, k - certified, bounds, mode, k, &einn);
+      Einn(tree, q, k, {}, mode, k, &inn);
+      EXPECT_LE(einn.total(), inn.total())
           << "trial " << trial << " mode " << static_cast<int>(mode);
     }
   }

@@ -41,6 +41,20 @@ std::vector<Neighbor> BruteForceKnn(const std::vector<ObjectEntry>& objs, Vec2 q
   return all;
 }
 
+// Every object an unbounded (E)INN search reports, ascending.
+std::vector<Neighbor> Drain(const PackedTree& tree, Vec2 q, PruneBounds bounds = {}) {
+  EinnQuery query;
+  query.q = q;
+  query.bounds = bounds;
+  query.needed = static_cast<int>(tree.size()) + 1;
+  BestFirstScratch scratch;
+  std::vector<Neighbor> out;
+  for (const Candidate& c : EinnSearch(tree, query, &scratch, nullptr)) {
+    out.push_back({*c.object, c.distance});
+  }
+  return out;
+}
+
 std::vector<int64_t> IdsOf(const std::vector<Neighbor>& ns) {
   std::vector<int64_t> ids;
   for (const Neighbor& n : ns) ids.push_back(n.object.id);
@@ -95,36 +109,34 @@ TEST(KnnTest, KLargerThanTreeReturnsAll) {
 TEST(KnnTest, EmptyTreeYieldsNothing) {
   const PackedTree tree;
   EXPECT_TRUE(DepthFirstKnn(tree, {0, 0}, 5).empty());
-  BestFirstNnIterator it(tree, {0, 0});
-  EXPECT_FALSE(it.Next().has_value());
+  EXPECT_TRUE(Drain(tree, {0, 0}).empty());
 }
 
-TEST(KnnTest, IncrementalIteratorAscendingDistances) {
+TEST(KnnTest, UnboundedSearchReportsEveryObjectAscending) {
   Rng rng(3);
   std::vector<ObjectEntry> objs = MakeRandomObjects(500, &rng);
   const PackedTree tree = InsertAndPack(objs);
-  BestFirstNnIterator it(tree, {500, 500});
   double last = -1.0;
   int count = 0;
-  while (auto n = it.Next()) {
-    EXPECT_GE(n->distance, last);
-    last = n->distance;
+  for (const Neighbor& n : Drain(tree, {500, 500})) {
+    EXPECT_GE(n.distance, last);
+    last = n.distance;
     ++count;
   }
   EXPECT_EQ(count, 500);
 }
 
-TEST(KnnTest, IncrementalIteratorMatchesBruteForceOrder) {
+TEST(KnnTest, UnboundedSearchMatchesBruteForceOrder) {
   Rng rng(4);
   std::vector<ObjectEntry> objs = MakeRandomObjects(300, &rng);
   const PackedTree tree = InsertAndPack(objs);
   Vec2 q{123, 456};
   std::vector<Neighbor> want = BruteForceKnn(objs, q, 300);
-  BestFirstNnIterator it(tree, q);
+  const std::vector<Neighbor> got = Drain(tree, q);
+  ASSERT_EQ(got.size(), 300u);
   for (int i = 0; i < 300; ++i) {
-    auto n = it.Next();
-    ASSERT_TRUE(n.has_value());
-    EXPECT_EQ(n->object.id, want[static_cast<size_t>(i)].object.id) << "rank " << i;
+    EXPECT_EQ(got[static_cast<size_t>(i)].object.id, want[static_cast<size_t>(i)].object.id)
+        << "rank " << i;
   }
 }
 
@@ -226,11 +238,8 @@ TEST(KnnTest, TightUpperBoundTerminatesEarly) {
   Vec2 q{500, 500};
   PruneBounds bounds;
   bounds.upper = 1.0;  // almost certainly no POI within 1 m
-  BestFirstNnIterator it(tree, q, bounds);
-  int count = 0;
-  while (it.Next().has_value()) ++count;
-  // Either zero results or very few; the iterator must terminate.
-  EXPECT_LE(count, 2);
+  // Either zero results or very few; the search must terminate.
+  EXPECT_LE(Drain(tree, q, bounds).size(), 2u);
 }
 
 TEST(KnnTest, DuplicateDistancesHandled) {
