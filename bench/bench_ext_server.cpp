@@ -7,8 +7,8 @@
 // knobs a deployment would tune:
 //   * connections     — concurrent pipelined clients (one thread each);
 //   * pipeline depth  — requests per burst before the client waits;
-//   * --server-batch  — the service's max_group cap (1 = verbatim
-//     sequential QueryKnn, the loopback-determinism default).
+//   * batch cap       — the service's max_group (1 = verbatim sequential
+//     QueryKnn); swept internally, not a flag.
 //
 // Each sweep point gets a freshly built server over the same POI world with
 // a cold 64-frame LRU pool, so page counts are comparable down a column.

@@ -79,7 +79,7 @@ SennOutcome SennProcessor::Execute(geom::Vec2 q, int k,
   const ServerReply reply =
       server_->QueryKnn(pending.q, pending.heap_capacity, pending.outcome.bounds,
                         static_cast<int>(pending.certain.size()), tracer);
-  Finish(&pending, reply, &server_span);
+  Finish(&pending, reply, server_span);
   return std::move(pending.outcome);
 }
 
@@ -192,7 +192,7 @@ PendingSenn SennProcessor::Prepare(geom::Vec2 q, int k,
       if (seen.insert(n.id).second) merged.push_back(n);
     }
     pending.certain = std::move(merged);  // Finish sorts/truncates/publishes
-    Finish(&pending, reply, &server_span);
+    Finish(&pending, reply, server_span);
     return pending;
   }
 
@@ -201,13 +201,13 @@ PendingSenn SennProcessor::Prepare(geom::Vec2 q, int k,
 }
 
 void SennProcessor::Finish(PendingSenn* pending, const ServerReply& reply,
-                           obs::ScopedSpan* span) const {
+                           obs::ScopedSpan& span) const {
   SennOutcome& outcome = pending->outcome;
   std::vector<RankedPoi> merged = std::move(pending->certain);
   if (pending->needs_server) {
     // Scalar protocol: the reply holds only neighbors outside the certified
-    // prefix, but replayed replies (a batched drain) may overlap — dedup by
-    // id like the sequential merge always has.
+    // prefix, but a shared traversal's reply (core::BatchServer) may overlap
+    // — dedup by id like the sequential merge always has.
     for (const RankedPoi& n : reply.neighbors) {
       bool duplicate = std::any_of(merged.begin(), merged.end(),
                                    [&](const RankedPoi& m) { return m.id == n.id; });
@@ -219,11 +219,9 @@ void SennProcessor::Finish(PendingSenn* pending, const ServerReply& reply,
   // The paper's INN comparison (Section 4.4) is measured here, for every
   // server-answered query, and never on the server's answering path.
   outcome.inn_accesses = server_->InnBaseline(pending->q, pending->heap_capacity);
-  if (span != nullptr) {
-    span->AddArg("einn_pages", outcome.einn_accesses.total());
-    span->AddArg("inn_pages", outcome.inn_accesses.total());
-    span->AddArg("returned", static_cast<uint64_t>(reply.neighbors.size()));
-  }
+  span.AddArg("einn_pages", outcome.einn_accesses.total());
+  span.AddArg("inn_pages", outcome.inn_accesses.total());
+  span.AddArg("returned", static_cast<uint64_t>(reply.neighbors.size()));
   std::sort(merged.begin(), merged.end(),
             [](const RankedPoi& a, const RankedPoi& b) { return RanksBefore(a, b); });
   if (static_cast<int>(merged.size()) > pending->heap_capacity) {

@@ -140,12 +140,9 @@ class SennProcessor {
 
   /// Second half of Execute: merges the server reply into the pending
   /// outcome (result sort, certified prefix, access counters) and measures
-  /// the query's INN baseline. `span`, when given, receives the server_einn
-  /// args the sequential path records — pass the ScopedSpan bracketing the
-  /// server contact, or null under a batched drain (the batch path emits
-  /// server_batch_einn spans instead).
-  void Finish(PendingSenn* pending, const ServerReply& reply,
-              obs::ScopedSpan* span) const;
+  /// the query's INN baseline. `span` is the ScopedSpan bracketing the
+  /// server contact; it receives the server_einn args.
+  void Finish(PendingSenn* pending, const ServerReply& reply, obs::ScopedSpan& span) const;
 
   /// Runs only the peer stages of Algorithm 1 (kNN_single, kNN_multiple —
   /// never the server) and reports whether the given peer set alone

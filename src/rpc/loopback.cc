@@ -26,7 +26,7 @@ Status LoopbackTransport::Receive(std::vector<uint8_t>* out) {
   if (!pending_.empty()) {
     std::vector<Frame> group;
     group.swap(pending_);
-    service_->AnswerGroup(group, &inbox_, tracer_, cluster_sizes_);
+    service_->AnswerGroup(group, &inbox_, tracer_);
   }
   if (poisoned_ && !error_emitted_) {
     EncodeError(0, {ErrorCode::kMalformedFrame, framing_error_}, &inbox_);

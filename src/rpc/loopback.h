@@ -10,12 +10,12 @@
 // and deterministic. Replies come back as encoded bytes the client's own
 // decoder parses.
 //
-// Consequences the simulator relies on (--server-transport loopback):
+// Consequences:
 //   * a blocking Client::Knn call is a group of one — a verbatim
-//     sequential SpatialServer::QueryKnn, bitwise reply and accounting;
+//     sequential SpatialServer::QueryKnn, bitwise reply and accounting,
+//     which the simulator's --server-transport loopback relies on;
 //   * a pipelined burst (SendKnn x n, then Wait) is a group of n — one
-//     BatchServer::AnswerBatch over the n requests in send order, exactly
-//     the simulator's batched drain;
+//     BatchServer::AnswerBatch over the n requests in send order;
 //   * two identical byte streams produce identical reply bytes; nothing
 //     depends on threads, timing, or the wall clock.
 //
@@ -51,15 +51,11 @@ class LoopbackTransport : public Transport {
   Status Receive(std::vector<uint8_t>* out) override;
 
   /// In-process observability side-band for the NEXT dispatches: the
-  /// simulator threads its span tracer (buffer_fetch / server_batch_einn
-  /// spans keep working over loopback) and the cluster-size sink through
-  /// here. Sticky until changed; pass nulls to detach. Remote transports
-  /// have no equivalent — this is exactly the observability a process
-  /// boundary would cost.
-  void SetDispatchObservers(obs::QueryTracer* tracer, std::vector<size_t>* cluster_sizes) {
-    tracer_ = tracer;
-    cluster_sizes_ = cluster_sizes;
-  }
+  /// simulator threads its span tracer through here, so buffer_fetch spans
+  /// keep working over loopback. Sticky until changed; pass null to detach.
+  /// Remote transports have no equivalent — this is exactly the
+  /// observability a process boundary would cost.
+  void SetTracer(obs::QueryTracer* tracer) { tracer_ = tracer; }
 
   /// Requests decoded and awaiting the next Receive()'s dispatch.
   size_t pending_requests() const { return pending_.size(); }
@@ -74,7 +70,6 @@ class LoopbackTransport : public Transport {
   std::string framing_error_;
   bool error_emitted_ = false;
   obs::QueryTracer* tracer_ = nullptr;
-  std::vector<size_t>* cluster_sizes_ = nullptr;
 };
 
 }  // namespace senn::rpc

@@ -12,8 +12,7 @@ QueryService::QueryService(core::SpatialServer* server, ServiceOptions options,
     : options_(options), metrics_(metrics), batch_(server, options.batch) {}
 
 void QueryService::AnswerGroup(const std::vector<Frame>& frames, std::vector<uint8_t>* out,
-                               obs::QueryTracer* tracer,
-                               std::vector<size_t>* cluster_sizes) {
+                               obs::QueryTracer* tracer) {
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.groups;
   stats_.requests += frames.size();
@@ -69,7 +68,7 @@ void QueryService::AnswerGroup(const std::vector<Frame>& frames, std::vector<uin
   // One shared-traversal batch answers every valid request of the group.
   std::vector<core::ServerReply> replies;
   if (!queries.empty()) {
-    replies = batch_.AnswerBatch(queries, tracer, metrics_, cluster_sizes);
+    replies = batch_.AnswerBatch(queries, tracer, metrics_);
   }
 
   // Pass 2: emit in request order.

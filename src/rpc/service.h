@@ -5,8 +5,8 @@
 // group* at a time — the frames a connection had pipelined by the time it
 // was read — and receive the encoded reply bytes, in request order. One
 // group is answered by ONE core::BatchServer call, so co-located queries
-// inside a pipelined burst share EINN traversals exactly like the
-// simulator's batched drain, single-charge miss accounting included.
+// inside a pipelined burst share EINN traversals, single-charge miss
+// accounting included.
 //
 // Protocol-boundary hardening happens here, before anything reaches the
 // engine: undecodable payloads, unsupported opcodes, and semantically
@@ -40,9 +40,10 @@ class QueryTracer;
 namespace senn::rpc {
 
 struct ServiceOptions {
-  /// Clustering knobs of the per-group shared traversals. `max_group = 1`
-  /// answers every request with a verbatim sequential QueryKnn call — the
-  /// byte-identical default the simulator's loopback mode relies on.
+  /// Clustering knobs of the per-group shared traversals. The default
+  /// batches up to core::BatchOptions::max_group (8) co-located requests;
+  /// `max_group = 1` answers every request with a verbatim sequential
+  /// QueryKnn call, which the simulator's loopback mode sets explicitly.
   core::BatchOptions batch;
 };
 
@@ -72,12 +73,11 @@ class QueryService {
   /// requests of the group are answered by one BatchServer::AnswerBatch
   /// call; everything else gets its kError/kPong reply in place.
   ///
-  /// `tracer` and `cluster_sizes` are in-process observability side-bands
-  /// (the simulator's loopback mode threads its span tracer and the batch
-  /// cluster-size histogram through them); remote transports pass null.
+  /// `tracer` is an in-process observability side-band (the simulator's
+  /// loopback mode threads its span tracer through it); remote transports
+  /// pass null.
   void AnswerGroup(const std::vector<Frame>& frames, std::vector<uint8_t>* out,
-                   obs::QueryTracer* tracer = nullptr,
-                   std::vector<size_t>* cluster_sizes = nullptr) SENN_EXCLUDES(mu_);
+                   obs::QueryTracer* tracer = nullptr) SENN_EXCLUDES(mu_);
 
   /// Counts `n` requests the transport load-shed without engine work into
   /// the registry's "rpc/shed". Takes the service lock, the registry's one

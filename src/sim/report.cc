@@ -112,13 +112,6 @@ std::string SimulationResultJson(const SimulationResult& r) {
   AppendKv(&out, "buffer_hits", r.buffer.hits());
   AppendKv(&out, "buffer_misses", r.buffer.misses());
   AppendKv(&out, "buffer_hit_rate", r.buffer.rate());
-  // Server-batching metrics (appended before the tail field, same golden
-  // prefix convention; all zero unless server_batch > 1).
-  AppendKv(&out, "batch_clusters", r.batch_clusters);
-  AppendKv(&out, "batch_batched_queries", r.batch_batched_queries);
-  AppendStats(&out, "batch_cluster_size", r.batch_cluster_size);
-  AppendKv(&out, "batch_shared_miss_pages", r.batch_shared_miss_pages);
-  AppendKv(&out, "batch_private_miss_pages", r.batch_private_miss_pages);
   // Continuous-query metrics (appended before the tail field, same golden
   // prefix convention; all zero unless `continuous` is on).
   AppendKv(&out, "continuous_steps", r.continuous_steps);

@@ -12,10 +12,8 @@ Simulator::Simulator(SimulationConfig config)
   // Policy 2: server queries always request cache_size POIs.
   config_.senn.server_request_k = config_.params.cache_size;
   // Continuous mode advances one long-lived query per host on the
-  // sequential in-process path with a fixed k (simulator.h); senn_sim
+  // in-process path with a fixed k (simulator.h); senn_sim
   // rejects conflicting flags before construction.
-  assert(!(config_.continuous && config_.server_batch > 1) &&
-         "continuous mode requires server_batch == 1");
   assert(!(config_.continuous && config_.server_transport == ServerTransport::kLoopback) &&
          "continuous mode requires the in-process transport");
   assert(!(config_.continuous && config_.randomize_k) &&
@@ -43,24 +41,15 @@ void Simulator::BuildWorld() {
       config_.paged_storage ? std::optional<storage::BufferPoolOptions>(config_.buffer)
                             : std::nullopt);
   senn_ = std::make_unique<core::SennProcessor>(server_.get(), config_.senn);
-  // Co-location tiles of Tx_Range: hosts that can hear each other land in
-  // the same tile, which is exactly the population whose search regions
-  // overlap the same R*-tree pages.
-  core::BatchOptions batch;
-  batch.cluster_cell_m = std::max(p.tx_range_m, 50.0);
-  batch.max_group = config_.server_batch;
   if (config_.server_transport == ServerTransport::kLoopback) {
-    // Every server contact crosses the full rpc wire path. The QueryService
-    // carries the batch options the in-process BatchServer gets.
+    // Every server contact crosses the full rpc wire path. At max_group = 1
+    // the service answers each request with a verbatim QueryKnn call, as
+    // the in-process transport does.
     rpc::ServiceOptions service;
-    service.batch = batch;
+    service.batch.max_group = 1;
     rpc_service_ = std::make_unique<rpc::QueryService>(server_.get(), service);
     rpc_transport_ = std::make_unique<rpc::LoopbackTransport>(rpc_service_.get());
     rpc_client_ = std::make_unique<rpc::Client>(rpc_transport_.get());
-  } else {
-    // With max_group = 1 every cluster is a singleton, answered by a
-    // verbatim SpatialServer::QueryKnn call.
-    batch_server_ = std::make_unique<core::BatchServer>(server_.get(), batch);
   }
 
   // Road network (road mode only).
@@ -332,9 +321,8 @@ Simulator::ChannelMetrics Simulator::MeasureChannel(const net::ExchangeResult& e
   m.transmissions_lost = ex.transmissions_lost;
   m.replies_missed = candidates_.size() - ex.arrived.size();
   m.latency_s = ex.elapsed_s;
-  // The RTT is drawn when the query is prepared, even if its reply is
-  // answered later: the "net" stream must consume the same draws in the
-  // same order whenever the contact runs.
+  // The RTT is drawn when the query is prepared, before the contact runs,
+  // so the "net" stream's draws do not depend on the transport.
   if (to_server) m.latency_s += net::DrawServerRtt(config_.channel, net_rng);
   return m;
 }
@@ -351,86 +339,32 @@ void Simulator::FinalizeQuery(PendingQuery* pq) {
   }
 }
 
-void Simulator::AnswerDeferred(SimulationResult* result) {
-  if (deferred_.empty()) return;
-  PendingQuery& first = deferred_.front();
-  const bool batched = config_.server_batch > 1;
-  // A sequential contact runs on its query's own tracer, inside the
-  // server_einn span that SennProcessor::Finish annotates. A batched drain
-  // gets one drain-scoped tracer, named by its first query, for the
-  // per-cluster server_batch_einn spans; the queries' own tracers closed
-  // their client-side spans in PrepareQuery.
-  std::optional<obs::QueryTracer> drain_tracer;
-  if (batched && span_sink_ != nullptr) {
-    drain_tracer.emplace(span_sink_, first.qid,
-                         static_cast<uint64_t>(std::llround(first.now * 1e6)));
+void Simulator::ContactServer(PendingQuery* pq) {
+  // The contact runs on the query's own tracer, inside the server_einn span
+  // that SennProcessor::Finish annotates.
+  obs::QueryTracer* tracer = pq->tracer.has_value() ? &*pq->tracer : nullptr;
+  const core::PendingSenn& pending = pq->pending;
+  const int certified = static_cast<int>(pending.certain.size());
+  obs::ScopedSpan server_span(tracer, obs::Phase::kServerEinn);
+  core::ServerReply reply;
+  if (rpc_client_ != nullptr) {
+    rpc::KnnRequest request;
+    request.q = pending.q;
+    request.k = pending.heap_capacity;
+    request.already_certified = certified;
+    request.bounds = pending.outcome.bounds;
+    rpc_transport_->SetTracer(tracer);
+    Result<core::ServerReply> answered = rpc_client_->Knn(request);
+    rpc_transport_->SetTracer(nullptr);
+    // The engine only emits valid requests over a transport that cannot
+    // drop bytes, so a failure here is a wiring bug, not an input problem.
+    assert(answered.ok() && "loopback rpc rejected an engine-generated request");
+    if (answered.ok()) reply = std::move(*answered);
+  } else {
+    reply = server_->QueryKnn(pending.q, pending.heap_capacity, pending.outcome.bounds,
+                              certified, tracer);
   }
-  std::optional<obs::QueryTracer>& owner = batched ? drain_tracer : first.tracer;
-  obs::QueryTracer* tracer = owner.has_value() ? &*owner : nullptr;
-  auto batch_stats = [this] {
-    return rpc_service_ != nullptr ? rpc_service_->batch_stats() : batch_server_->stats();
-  };
-  const core::BatchStats before = batch_stats();
-  std::vector<size_t> cluster_sizes;
-  std::vector<core::ServerReply> replies;
-  {
-    obs::ScopedSpan server_span(batched ? nullptr : tracer, obs::Phase::kServerEinn);
-    if (rpc_client_ != nullptr) {
-      // Loopback rpc: pipeline every contact, then wait in send order. The
-      // burst reaches the QueryService as ONE dispatch group, answered by
-      // the same AnswerBatch call the in-process path makes.
-      rpc_transport_->SetDispatchObservers(tracer, &cluster_sizes);
-      std::vector<uint64_t> ids;
-      ids.reserve(deferred_.size());
-      replies.reserve(deferred_.size());
-      for (const PendingQuery& pq : deferred_) {
-        rpc::KnnRequest request;
-        request.q = pq.pending.q;
-        request.k = pq.pending.heap_capacity;
-        request.already_certified = static_cast<int32_t>(pq.pending.certain.size());
-        request.bounds = pq.pending.outcome.bounds;
-        ids.push_back(rpc_client_->SendKnn(request));
-      }
-      for (uint64_t id : ids) {
-        Result<core::ServerReply> reply = rpc_client_->Wait(id);
-        // The engine only emits valid requests over a transport that cannot
-        // drop bytes, so a failure here is a wiring bug, not an input problem.
-        assert(reply.ok() && "loopback rpc rejected an engine-generated request");
-        replies.push_back(reply.ok() ? std::move(*reply) : core::ServerReply{});
-      }
-      rpc_transport_->SetDispatchObservers(nullptr, nullptr);
-    } else {
-      std::vector<core::BatchQuery> queries;
-      queries.reserve(deferred_.size());
-      for (const PendingQuery& pq : deferred_) {
-        queries.push_back({pq.pending.q, pq.pending.heap_capacity, pq.pending.outcome.bounds,
-                           static_cast<int>(pq.pending.certain.size())});
-      }
-      replies = batch_server_->AnswerBatch(queries, tracer, nullptr, &cluster_sizes);
-    }
-    for (size_t i = 0; i < deferred_.size(); ++i) {
-      PendingQuery& pq = deferred_[i];
-      senn_->Finish(&pq.pending, replies[i], &server_span);
-      FinalizeQuery(&pq);
-      AccountQuery(pq, result);
-    }
-  }
-  // All of a drain's queries launched in the same step, so one flag covers
-  // the batch-path counters too. A sequential contact is a cluster of one
-  // and adds none.
-  if (batched && first.measuring) {
-    const core::BatchStats after = batch_stats();
-    result->batch_clusters += after.clusters - before.clusters;
-    result->batch_batched_queries += after.batched_queries - before.batched_queries;
-    for (size_t size : cluster_sizes) {
-      result->batch_cluster_size.Add(static_cast<double>(size));
-    }
-    result->batch_shared_miss_pages +=
-        after.shared_traversal.shared_misses - before.shared_traversal.shared_misses;
-    result->batch_private_miss_pages +=
-        after.shared_traversal.private_misses - before.shared_traversal.private_misses;
-  }
-  deferred_.clear();
+  senn_->Finish(&pq->pending, reply, server_span);
 }
 
 void Simulator::AccountQuery(const PendingQuery& pq, SimulationResult* result) {
@@ -501,9 +435,8 @@ void Simulator::AccountServerPages(const rtree::AccessCounter& einn,
   }
 }
 
-void Simulator::ExecuteContinuousStep(MobileHost* host, double now, bool measuring,
+void Simulator::ExecuteContinuousStep(MobileHost* host, bool measuring,
                                       SimulationResult* result) {
-  (void)now;
   core::ContinuousKnn* cont = host->continuous();
   assert(cont != nullptr && "continuous mode attaches a ContinuousKnn per host");
   const geom::Vec2 q = host->position();
@@ -631,27 +564,18 @@ SimulationResult Simulator::Run() {
       if (config_.continuous) {
         // Continuous mode: advance the host's long-lived query instead of
         // issuing an independent snapshot query.
-        ExecuteContinuousStep(host, now, measuring, &result);
+        ExecuteContinuousStep(host, measuring, &result);
         continue;
       }
       int k = config_.randomize_k
                   ? static_cast<int>(workload_rng.UniformInt(config_.k_min, config_.k_max))
                   : p.k_nn;
-      // Every snapshot query is prepared; one that needs the server waits
-      // for its contact. A sequential run answers it before the next launch
-      // (a later query in the step sees this host's new cache); a batched
-      // run answers the whole step's contacts together at the step's end.
       PendingQuery pq;
       PrepareQuery(host, now, k, measuring, &pq);
-      if (pq.pending.needs_server) {
-        deferred_.push_back(std::move(pq));
-        if (config_.server_batch <= 1) AnswerDeferred(&result);
-        continue;
-      }
+      if (pq.pending.needs_server) ContactServer(&pq);
       FinalizeQuery(&pq);
       AccountQuery(pq, &result);
     }
-    AnswerDeferred(&result);
   }
 
   result.simulated_seconds = duration;

@@ -34,7 +34,6 @@
 
 #include "src/common/rng.h"
 #include "src/common/stats.h"
-#include "src/core/batch_server.h"
 #include "src/core/senn.h"
 #include "src/core/server.h"
 #include "src/mobility/road_mover.h"
@@ -68,17 +67,16 @@ enum class MPercentageMode {
 
 /// How the simulator's server contacts reach the spatial server.
 enum class ServerTransport {
-  /// Direct in-process BatchServer::AnswerBatch calls (at server_batch 1, a
-  /// verbatim SpatialServer::QueryKnn per contact) — the historical path.
+  /// A direct SpatialServer::QueryKnn call per contact — the historical path.
   kInProcess = 0,
   /// Every server contact travels the full rpc wire path in process:
   /// encode -> frame -> decode -> validate -> dispatch through
   /// rpc::LoopbackTransport and rpc::QueryService (src/rpc/). Deterministic
   /// and BYTE-IDENTICAL to kInProcess — report JSONs match bit for bit
   /// (golden-tested) — because the wire ships doubles as IEEE-754 bit
-  /// patterns and each answered list of contacts is one pipelined dispatch
-  /// group, answered by the same BatchServer::AnswerBatch call the
-  /// in-process path makes (a sequential contact is a group of one).
+  /// patterns and each contact is one blocking rpc::Client::Knn call, a
+  /// dispatch group of one that the service answers with the same QueryKnn
+  /// call the in-process path makes.
   kLoopback = 1,
 };
 
@@ -129,19 +127,6 @@ struct SimulationConfig {
   /// already accumulated before the measured window.
   net::ChannelConfig channel;
 
-  /// Server-side batch answering (core/batch_server). Every scalar-protocol
-  /// server contact is deferred to the simulator's one server-contact
-  /// function, which clusters contacts by query-point proximity (tiles of
-  /// Tx_Range) into shared EINN traversals of at most `server_batch` queries.
-  /// Above 1,
-  /// each simulation step's contacts are answered together at the step's
-  /// end: per-query answers are bitwise identical to the sequential path;
-  /// what changes is the server's page traffic (shared pages fetched once
-  /// per cluster) and the reply timing model (replies arrive at step end).
-  /// 1 — the default — answers each contact right after its launch, as a
-  /// cluster of one, byte-identical outputs included (golden-JSON tested).
-  int server_batch = 1;
-
   /// When true the server answers through the paged storage engine
   /// (src/storage/): EINN traversals fetch R*-tree nodes through a buffer
   /// pool sized by `buffer`, and the result additionally reports physical
@@ -161,8 +146,8 @@ struct SimulationConfig {
   /// at the host's current position instead of issuing an independent
   /// snapshot query. Steps resolve through (in order) the safe region, the
   /// Lemma 3.2 own-cache recheck, shared peer safe regions, peer caches,
-  /// and finally the server. Requires the sequential in-process transport
-  /// (server_batch == 1, kInProcess) and a fixed k (randomize_k == false).
+  /// and finally the server. Requires the in-process transport and a fixed k
+  /// (randomize_k == false).
   bool continuous = false;
   /// Safe-region construction maintained by continuous queries (see
   /// core/safe_region.h). Ignored unless `continuous` is set.
@@ -219,17 +204,6 @@ struct SimulationResult {
   /// Server contacts that the full peer set would have avoided — the
   /// channel, not the cache population, forced them.
   uint64_t loss_induced_server_fallbacks = 0;
-
-  /// Server-batching metrics (all zero unless `server_batch` > 1).
-  /// Shared traversals run / queries answered by one.
-  uint64_t batch_clusters = 0;
-  uint64_t batch_batched_queries = 0;
-  /// Formed cluster sizes (singletons included).
-  RunningStats batch_cluster_size;
-  /// Buffer-pool misses of the shared traversals, split by whether the page
-  /// was wanted by >= 2 queries of its cluster (zero without paged_storage).
-  uint64_t batch_shared_miss_pages = 0;
-  uint64_t batch_private_miss_pages = 0;
 
   /// Continuous-query metrics (all zero unless `continuous` is on). Steps
   /// partition exactly by answering source:
@@ -298,7 +272,7 @@ class Simulator {
 
   /// One snapshot query, from PrepareQuery to AccountQuery: the client-side
   /// stages ran, the channel metrics are drawn, and a query that needs the
-  /// server waits in deferred_ for AnswerDeferred.
+  /// server is answered by ContactServer.
   struct PendingQuery {
     MobileHost* host = nullptr;
     uint64_t qid = 0;
@@ -315,8 +289,7 @@ class Simulator {
   void BuildWorld();
   void WarmStartCaches();
   /// Client-side half of a snapshot query: harvest, wireless exchange, SENN
-  /// peer stages, channel draws (server RTT included — the "net" stream
-  /// order must not depend on when the reply materializes).
+  /// peer stages, channel draws (server RTT included).
   void PrepareQuery(MobileHost* host, double now, int k, bool measuring, PendingQuery* out);
   /// Channel metrics of an exchange over the current candidates_; draws the
   /// server RTT from `net_rng` when the launch reaches the server.
@@ -334,35 +307,26 @@ class Simulator {
   /// page accesses.
   void AccountServerPages(const rtree::AccessCounter& einn, const rtree::AccessCounter& inn,
                           SimulationResult* result) const;
-  /// The server contact: answers every deferred query, in order, through the
-  /// configured transport (the only code that names it), then finishes,
-  /// finalizes and accounts each. Sequential runs call it with one query
-  /// right after its launch; batched runs call it once per step.
-  void AnswerDeferred(SimulationResult* result);
+  /// The server contact: answers one prepared query through the configured
+  /// transport (the only code that names it) and finishes it, right after
+  /// its launch, so a later launch in the same step sees the new cache.
+  void ContactServer(PendingQuery* pq);
   /// One launch of continuous mode: advances `host`'s ContinuousKnn at its
   /// current position (local fast paths first; otherwise the wireless
   /// exchange harvests peer caches AND peer safe regions) and accounts the
   /// step. Steps call core::ContinuousKnn, which reaches the server in
   /// process, instead of the snapshot query path.
-  void ExecuteContinuousStep(MobileHost* host, double now, bool measuring,
-                             SimulationResult* result);
+  void ExecuteContinuousStep(MobileHost* host, bool measuring, SimulationResult* result);
 
   SimulationConfig config_;
   Rng rng_;
   std::vector<core::Poi> pois_;
   std::unique_ptr<core::SpatialServer> server_;
   std::unique_ptr<core::SennProcessor> senn_;
-  /// In-process server contacts (null on the loopback transport, whose
-  /// QueryService holds its own). Clusters of at most server_batch queries;
-  /// at 1 every contact is a verbatim SpatialServer::QueryKnn.
-  std::unique_ptr<core::BatchServer> batch_server_;
   /// Loopback rpc path (all null unless server_transport is kLoopback).
   std::unique_ptr<rpc::QueryService> rpc_service_;
   std::unique_ptr<rpc::LoopbackTransport> rpc_transport_;
   std::unique_ptr<rpc::Client> rpc_client_;
-  /// Queries awaiting their server contact: at most one in a sequential
-  /// run, the current step's in a batched one.
-  std::vector<PendingQuery> deferred_;
   std::unique_ptr<roadnet::Graph> graph_;
   std::unique_ptr<roadnet::Router> router_;
   std::vector<std::unique_ptr<MobileHost>> hosts_;

@@ -62,11 +62,6 @@ SimulationResult MergeResults(const std::vector<SimulationResult>& parts) {
     merged.loss_induced_server_fallbacks += part.loss_induced_server_fallbacks;
     merged.einn_miss_pages.Merge(part.einn_miss_pages);
     merged.buffer.Merge(part.buffer);
-    merged.batch_clusters += part.batch_clusters;
-    merged.batch_batched_queries += part.batch_batched_queries;
-    merged.batch_cluster_size.Merge(part.batch_cluster_size);
-    merged.batch_shared_miss_pages += part.batch_shared_miss_pages;
-    merged.batch_private_miss_pages += part.batch_private_miss_pages;
     merged.continuous_steps += part.continuous_steps;
     merged.continuous_safe_region_steps += part.continuous_safe_region_steps;
     merged.continuous_peer_region_steps += part.continuous_peer_region_steps;

@@ -50,12 +50,6 @@ using namespace senn;
       "  --buffer-pages N|unbounded       answer through the paged storage engine with an\n"
       "                                   N-frame buffer pool (unbounded = every page resident)\n"
       "  --replacement lru|clock          buffer-pool replacement policy (default lru)\n"
-      "  --server-batch N                 answer each step's server contacts in shared\n"
-      "                                   EINN traversals of <= N co-located queries\n"
-      "                                   (default 1 = sequential per-query path); a\n"
-      "                                   cluster forms only within one Tx_Range tile\n"
-      "                                   and one step, so at the paper's load clusters\n"
-      "                                   rarely form\n"
       "  --server-transport inproc|loopback\n"
       "                                   how server contacts reach the spatial server:\n"
       "                                   direct calls (default) or the full rpc wire\n"
@@ -64,7 +58,7 @@ using namespace senn;
       "  --continuous                     continuous-query mode: every host advances one\n"
       "                                   long-lived kNN query (core/continuous.h) instead\n"
       "                                   of issuing independent snapshot queries; needs\n"
-      "                                   the sequential in-process transport and no\n"
+      "                                   the in-process transport and no\n"
       "                                   --trace/--trace-out (steps are not span-traced)\n"
       "  --safe-region off|disk|insq      validity-region construction continuous queries\n"
       "                                   maintain (default off; see core/safe_region.h)\n"
@@ -175,9 +169,6 @@ int main(int argc, char** argv) {
         if (pages < 1) Usage(argv[0]);
         cfg.buffer.capacity_pages = static_cast<size_t>(pages);
       }
-    } else if (arg == "--server-batch") {
-      cfg.server_batch = static_cast<int>(std::strtol(need(i++), nullptr, 10));
-      if (cfg.server_batch < 1) Usage(argv[0]);
     } else if (arg == "--server-transport") {
       std::string v = need(i++);
       if (v == "inproc") {
@@ -258,12 +249,8 @@ int main(int argc, char** argv) {
     cfg.params.cache_size = std::max(cfg.params.cache_size, cfg.params.k_nn);
   }
   if (cfg.continuous) {
-    // Continuous steps run on the sequential in-process path (simulator.h)
+    // Continuous steps run on the in-process path (simulator.h)
     // and are not span-traced; reject conflicting flags up front.
-    if (cfg.server_batch > 1) {
-      std::fprintf(stderr, "--continuous requires --server-batch 1\n");
-      return 2;
-    }
     if (cfg.server_transport == sim::ServerTransport::kLoopback) {
       std::fprintf(stderr, "--continuous requires --server-transport inproc\n");
       return 2;
@@ -362,13 +349,6 @@ int main(int argc, char** argv) {
                 100.0 * r.buffer.rate(), static_cast<unsigned long long>(r.buffer.hits()),
                 static_cast<unsigned long long>(r.buffer.total()),
                 r.einn_miss_pages.mean());
-  }
-  if (cfg.server_batch > 1) {
-    std::printf("  server batching  %6.2f avg cluster size, %llu shared traversals "
-                "answered %llu queries\n",
-                r.batch_cluster_size.mean(),
-                static_cast<unsigned long long>(r.batch_clusters),
-                static_cast<unsigned long long>(r.batch_batched_queries));
   }
   if (cfg.continuous && r.continuous_steps > 0) {
     const double n = static_cast<double>(r.continuous_steps);
