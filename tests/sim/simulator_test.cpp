@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "src/sim/report.h"
+
 namespace senn::sim {
 namespace {
 
@@ -35,6 +39,34 @@ TEST(SimulatorTest, DeterministicForSameSeed) {
   EXPECT_EQ(a.by_single_peer, b.by_single_peer);
   EXPECT_EQ(a.by_multi_peer, b.by_multi_peer);
   EXPECT_EQ(a.by_server, b.by_server);
+}
+
+// Table 3's load sends only a few queries a minute to the server. A high
+// query rate and a 10 m radio leave almost no peers in range, so every query
+// that the host's own cache cannot answer contacts the server: about ten per
+// step.
+SimulationConfig ServerBoundConfig(uint64_t seed) {
+  SimulationConfig cfg = SmallConfig(Region::kLosAngeles, MovementMode::kFreeMovement, seed);
+  cfg.duration_s = 120.0;
+  cfg.params.queries_per_minute = 3000.0;
+  cfg.params.tx_range_m = 10.0;
+  return cfg;
+}
+
+TEST(SimulatorTest, ServerBoundLoadCountsAreConsistent) {
+  SimulationResult r = Simulator(ServerBoundConfig(12)).Run();
+  ASSERT_GT(r.measured_queries, 1000u);
+  EXPECT_EQ(r.by_single_peer + r.by_multi_peer + r.by_server, r.measured_queries);
+  EXPECT_GT(r.by_server, 500u);
+  // Every server-bound query records its page accesses exactly once.
+  EXPECT_EQ(r.einn_pages.count(), r.by_server);
+  EXPECT_EQ(r.inn_pages.count(), r.by_server);
+}
+
+TEST(SimulatorTest, ServerBoundLoadIsDeterministic) {
+  const std::string a = SimulationResultJson(Simulator(ServerBoundConfig(13)).Run());
+  const std::string b = SimulationResultJson(Simulator(ServerBoundConfig(13)).Run());
+  EXPECT_EQ(a, b);
 }
 
 TEST(SimulatorTest, DifferentSeedsDiffer) {
