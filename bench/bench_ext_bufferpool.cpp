@@ -13,9 +13,11 @@
 // is identical across the whole grid and the hit-rate column isolates the
 // pool. LRU is a stack algorithm, so its hit rate is monotone
 // non-decreasing in the pool size; CLOCK approximates it and may cross
-// over.
+// over. The bench exits 1 unless the logical count is constant within each
+// policy and LRU misses do not increase with capacity.
 //
-// Emitted machine-readable as BENCH_bufferpool.json.
+// Emitted machine-readable as BENCH_bufferpool.json (in the working
+// directory).
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -88,10 +90,25 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.buffer.misses()),
                 r.buffer.rate(), r.einn_pages.mean(), r.einn_miss_pages.mean());
   }
-  std::printf("\nThe logical column is constant down each policy's rows — the paper's\n"
-              "page-access metric does not see the pool. Only the physical misses\n"
-              "move, and for LRU they shrink monotonically with capacity (stack\n"
-              "algorithm / inclusion property).\n");
+  // The logical column is constant down each policy's rows (the paper's
+  // page-access metric does not see the pool), and LRU misses never grow
+  // with capacity (a stack algorithm). Within a policy the points run in
+  // pool_sizes order, ascending with unbounded last, so each row is
+  // compared with the next smaller pool.
+  bool logical_constant = true;
+  bool lru_monotone = true;
+  for (size_t i = 1; i < points.size(); ++i) {
+    if (points[i].policy != points[i - 1].policy) continue;
+    if (results[i].buffer.total() != results[i - 1].buffer.total()) logical_constant = false;
+    if (points[i].policy == storage::ReplacementPolicy::kLru &&
+        results[i].buffer.misses() > results[i - 1].buffer.misses()) {
+      lru_monotone = false;
+    }
+  }
+  std::printf("\ncheck: logical count constant within each policy: %s\n",
+              logical_constant ? "ok" : "FAILED");
+  std::printf("check: LRU misses non-increasing in capacity: %s\n",
+              lru_monotone ? "ok" : "FAILED");
 
   const char* json_path = "BENCH_bufferpool.json";
   std::FILE* f = std::fopen(json_path, "w");
@@ -117,5 +134,5 @@ int main(int argc, char** argv) {
   std::fprintf(f, "]}\n");
   std::fclose(f);
   std::printf("json: %s\n", json_path);
-  return 0;
+  return logical_constant && lru_monotone ? 0 : 1;
 }

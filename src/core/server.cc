@@ -24,7 +24,7 @@ SpatialServer::SpatialServer(std::vector<Poi> pois, rtree::RStarTree::Options tr
   std::vector<Poi>().swap(pois);
   tree_ = rtree::BulkLoadPacked(std::move(entries), tree_options);
   if (storage.has_value()) {
-    pager_ = std::make_unique<storage::NodePager>(&tree_, *storage);
+    pager_ = std::make_unique<storage::NodePager>(tree_, *storage);
   }
 }
 

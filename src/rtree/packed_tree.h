@@ -100,14 +100,19 @@ RStarTree Unpack(const PackedTree& tree);
 /// Storage-engine hook for tree traversals. When attached, every charged
 /// node access additionally fetches the node's backing page, so a buffer
 /// pool (src/storage/) can model residency, eviction, and physical I/O
-/// under the logical access stream. Implementations must be deterministic
-/// functions of the fetch/unpin sequence.
+/// under the logical access stream. A fetch models the page read; nothing
+/// reads through it: traversals read a node's entries from the PackedTree,
+/// the one copy. Implementations must be deterministic functions of the
+/// fetch/unpin sequence.
 class NodePageHook {
  public:
   virtual ~NodePageHook() = default;
   /// Fetches and pins the page of node `id`; returns true when the fetch
   /// was a physical miss (the page was not resident). Every Fetch is paired
-  /// with exactly one Unpin after the node's entries have been read.
+  /// with exactly one Unpin once the charged access is done: after an
+  /// expansion reads the node's entries, or at once for a child charged as
+  /// it is queued (AccessCountMode::kOnEnqueue), whose entries are read at
+  /// its later expansion with no pin held.
   virtual bool Fetch(NodeId id) = 0;
   virtual void Unpin(NodeId id) = 0;
 };

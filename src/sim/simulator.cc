@@ -42,9 +42,9 @@ void Simulator::BuildWorld() {
                             : std::nullopt);
   senn_ = std::make_unique<core::SennProcessor>(server_.get(), config_.senn);
   if (config_.server_transport == ServerTransport::kLoopback) {
-    // Every server contact crosses the full rpc wire path. At max_group = 1
-    // the service answers each request with a verbatim QueryKnn call, as
-    // the in-process transport does.
+    // Every scalar kNN contact crosses the rpc wire path (max_group = 1: one
+    // verbatim QueryKnn per request). Region contacts never do: the protocol
+    // has no region request, so SennProcessor calls QueryKnnWithRegion.
     rpc::ServiceOptions service;
     service.batch.max_group = 1;
     rpc_service_ = std::make_unique<rpc::QueryService>(server_.get(), service);

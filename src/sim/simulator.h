@@ -69,14 +69,17 @@ enum class MPercentageMode {
 enum class ServerTransport {
   /// A direct SpatialServer::QueryKnn call per contact — the historical path.
   kInProcess = 0,
-  /// Every server contact travels the full rpc wire path in process:
+  /// Every scalar kNN contact travels the full rpc wire path in process:
   /// encode -> frame -> decode -> validate -> dispatch through
   /// rpc::LoopbackTransport and rpc::QueryService (src/rpc/). Deterministic
   /// and BYTE-IDENTICAL to kInProcess — report JSONs match bit for bit
   /// (golden-tested) — because the wire ships doubles as IEEE-754 bit
   /// patterns and each contact is one blocking rpc::Client::Knn call, a
   /// dispatch group of one that the service answers with the same QueryKnn
-  /// call the in-process path makes.
+  /// call the in-process path makes. Region contacts never cross the wire:
+  /// the rpc protocol has no region request, so under --ship-region a
+  /// bounded query is answered by SennProcessor::Prepare's direct
+  /// SpatialServer::QueryKnnWithRegion call on either transport.
   kLoopback = 1,
 };
 

@@ -27,38 +27,37 @@ BufferPool::~BufferPool() {
 BufferPool::FetchResult BufferPool::Fetch(PageId id) {
   auto it = table_.find(id);
   if (it != table_.end()) {
-    Frame& frame = *frames_[it->second];
+    Frame& frame = frames_[it->second];
     frame.pins += 1;
     frame.referenced = true;
     Touch(it->second);
     ++stats_.logical;
     ++stats_.hits;
-    return {&frame.page, false};
+    return {true, false};
   }
 
   // Miss: find a frame — grow while below capacity (or unbounded), evict
   // otherwise.
   size_t index;
   if (options_.capacity_pages == 0 || frames_.size() < options_.capacity_pages) {
-    frames_.push_back(std::make_unique<Frame>());
+    frames_.emplace_back();
     recency_.emplace_back();
     index = frames_.size() - 1;
   } else {
     index = PickVictim();
-    if (index == kNoFrame) return {nullptr, false};  // every frame pinned
-    table_.erase(frames_[index]->page.id);
+    if (index == kNoFrame) return {false, false};  // every frame pinned
+    table_.erase(frames_[index].id);
     ++stats_.evictions;
   }
-  Frame& frame = *frames_[index];
-  frame.page.id = id;
-  frame.page.data.fill(std::byte{0});  // no stale bytes from the evicted page
+  Frame& frame = frames_[index];
+  frame.id = id;
   frame.pins = 1;
   frame.referenced = true;
   Touch(index);
   table_[id] = index;
   ++stats_.logical;
   ++stats_.misses;
-  return {&frame.page, true};
+  return {true, true};
 }
 
 void BufferPool::Unpin(PageId id) {
@@ -66,7 +65,7 @@ void BufferPool::Unpin(PageId id) {
   assert(it != table_.end() && "Unpin of a non-resident page");
   SENN_PARANOID_CHECK(it != table_.end(), "Unpin of a non-resident page");
   if (it == table_.end()) return;
-  Frame& frame = *frames_[it->second];
+  Frame& frame = frames_[it->second];
   assert(frame.pins > 0 && "Unpin without a matching Fetch");
   SENN_PARANOID_CHECK(frame.pins > 0, "Unpin without a matching Fetch");
   if (frame.pins > 0) frame.pins -= 1;
@@ -75,19 +74,19 @@ void BufferPool::Unpin(PageId id) {
 void BufferPool::UnpinIfPinned(PageId id) {
   auto it = table_.find(id);
   if (it == table_.end()) return;
-  Frame& frame = *frames_[it->second];
+  Frame& frame = frames_[it->second];
   if (frame.pins > 0) frame.pins -= 1;
 }
 
 uint32_t BufferPool::PinCount(PageId id) const {
   auto it = table_.find(id);
-  return it == table_.end() ? 0 : frames_[it->second]->pins;
+  return it == table_.end() ? 0 : frames_[it->second].pins;
 }
 
 size_t BufferPool::pinned_pages() const {
   size_t n = 0;
-  for (const std::unique_ptr<Frame>& frame : frames_) {
-    if (frame->pins > 0) ++n;
+  for (const Frame& frame : frames_) {
+    if (frame.pins > 0) ++n;
   }
   return n;
 }
@@ -100,7 +99,7 @@ size_t BufferPool::PickVictimLru() const {
   // Least recently fetched among the unpinned frames: the first unpinned
   // frame from the least recent end.
   for (size_t i = least_recent_; i != kNoFrame; i = recency_[i].next) {
-    if (frames_[i]->pins == 0) return i;
+    if (frames_[i].pins == 0) return i;
   }
   return kNoFrame;
 }
@@ -128,7 +127,7 @@ size_t BufferPool::PickVictimClock() {
   for (size_t step = 0; step < 2 * n; ++step) {
     const size_t index = clock_hand_;
     clock_hand_ = (clock_hand_ + 1) % n;
-    Frame& frame = *frames_[index];
+    Frame& frame = frames_[index];
     if (frame.pins > 0) continue;
     if (frame.referenced) {
       frame.referenced = false;

@@ -1,5 +1,8 @@
 // A buffer pool over fixed-size pages with pin/unpin semantics and
-// pluggable replacement (LRU, CLOCK).
+// pluggable replacement (LRU, CLOCK). It models page residency only: a
+// frame records which page it holds, its pins and its CLOCK bit, never the
+// page's bytes (the packed tree is the one copy of every node). Its outputs
+// are the hit, miss, eviction and pin counts.
 //
 // Single-threaded by design: the spatial server processes one query at a
 // time per simulation, and the sweep engine isolates whole simulations per
@@ -22,7 +25,6 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -39,17 +41,16 @@ class BufferPool {
 
   /// Outcome of a Fetch.
   struct FetchResult {
-    /// The pinned page frame, or nullptr when the pool is at capacity with
-    /// every frame pinned (nothing is charged in that case).
-    Page* page = nullptr;
-    /// True when the page was not resident: the caller must materialize the
-    /// payload (the simulated disk read).
+    /// False when the pool is at capacity with every frame pinned: nothing
+    /// was pinned and nothing is charged.
+    bool pinned = false;
+    /// True when the page was not resident (a physical page read).
     bool miss = false;
   };
 
   /// Pins page `id`, faulting it into a frame on a miss. A miss on a full
   /// pool evicts one unpinned resident page chosen by the replacement
-  /// policy; a freshly loaded frame has a zeroed payload.
+  /// policy.
   FetchResult Fetch(PageId id);
 
   /// Releases one pin of a resident page. Fetch/Unpin calls must pair.
@@ -71,7 +72,7 @@ class BufferPool {
 
  private:
   struct Frame {
-    Page page;
+    PageId id = kInvalidPageId;
     uint32_t pins = 0;
     bool referenced = false;  // CLOCK second-chance bit
   };
@@ -92,35 +93,13 @@ class BufferPool {
 
   BufferPoolOptions options_;
   BufferPoolStats stats_;
-  // unique_ptr frames so Page* handed to callers stay stable across growth.
-  std::vector<std::unique_ptr<Frame>> frames_;
+  std::vector<Frame> frames_;
   std::unordered_map<PageId, size_t> table_;  // page id -> frame index
   size_t clock_hand_ = 0;
-  // Recency list over frame indices, least recently fetched first; kept
-  // apart from the frames so relinking touches no page memory.
+  // Recency list over frame indices, least recently fetched first.
   std::vector<RecencyLink> recency_;
   size_t least_recent_ = kNoFrame;
   size_t most_recent_ = kNoFrame;
-};
-
-/// RAII pin: fetches on construction, unpins on destruction. `hit()` and
-/// `page()` expose the outcome; a failed fetch leaves page() null.
-class PageGuard {
- public:
-  PageGuard(BufferPool* pool, PageId id) : pool_(pool), id_(id), result_(pool->Fetch(id)) {}
-  ~PageGuard() {
-    if (result_.page != nullptr) pool_->Unpin(id_);
-  }
-  PageGuard(const PageGuard&) = delete;
-  PageGuard& operator=(const PageGuard&) = delete;
-
-  Page* page() const { return result_.page; }
-  bool miss() const { return result_.miss; }
-
- private:
-  BufferPool* pool_;
-  PageId id_;
-  BufferPool::FetchResult result_;
 };
 
 }  // namespace senn::storage

@@ -1,14 +1,15 @@
-// Fixed-size storage pages — the unit the buffer pool caches and the unit
-// the paper's evaluation counts ("page accesses", Figure 17 / Table 1).
+// Page identities and buffer-pool settings: the unit the pool tracks and
+// the unit the paper's evaluation counts ("page accesses", Figure 17 /
+// Table 1).
 //
 // The paper's R*-tree uses branching factor 30 because one node fills one
-// disk page; with ~56-byte slot records (MBR + child reference or object)
-// a 30-slot node serializes into well under kPageSizeBytes, so the node ==
-// page identification holds physically, not just by convention (the
-// node-to-page serializer lives in storage/node_pager.cc).
+// disk page. Here a node IS a page: the packed tree (rtree/packed_tree.h)
+// holds every node's entries, and the pool models only which pages are
+// resident. What keeps the identification honest is a size bound,
+// asserted by storage/node_pager.cc: a full node's packed run of entries
+// fits kPageSizeBytes.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 
@@ -19,16 +20,8 @@ namespace senn::storage {
 using PageId = uint32_t;
 inline constexpr PageId kInvalidPageId = 0xFFFFFFFFu;
 
-/// Fixed page payload size (a classic 4 KiB disk page).
+/// The disk page a node stands for (a classic 4 KiB page).
 inline constexpr size_t kPageSizeBytes = 4096;
-
-/// One page frame's payload: the id of the page currently materialized in
-/// it plus the raw bytes. The buffer pool hands out pinned `Page*`s; the
-/// pager reads/writes the payload through the record layout it defines.
-struct Page {
-  PageId id = kInvalidPageId;
-  std::array<std::byte, kPageSizeBytes> data{};
-};
 
 /// Which unpinned page a full pool evicts on a miss.
 ///

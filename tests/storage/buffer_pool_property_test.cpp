@@ -143,10 +143,9 @@ void RunRandomTrace(ReplacementPolicy policy, size_t capacity, uint64_t seed) {
       const PageId id = static_cast<PageId>(rng.NextIndex(kUniverse));
       const ReferencePool::Result expected = ref.Fetch(id);
       const BufferPool::FetchResult actual = pool.Fetch(id);
-      ASSERT_EQ(expected.ok, actual.page != nullptr) << "step " << step << " page " << id;
+      ASSERT_EQ(expected.ok, actual.pinned) << "step " << step << " page " << id;
       if (expected.ok) {
         ASSERT_EQ(expected.miss, actual.miss) << "step " << step << " page " << id;
-        ASSERT_EQ(actual.page->id, id);
         pinned.push_back(id);
       }
     } else {
@@ -201,20 +200,20 @@ TEST(BufferPoolPropertyTest, FetchFailsOnlyWhenEveryFrameIsPinned) {
   BufferPoolOptions options;
   options.capacity_pages = 2;
   BufferPool pool(options);
-  ASSERT_NE(pool.Fetch(0).page, nullptr);
-  ASSERT_NE(pool.Fetch(1).page, nullptr);
+  ASSERT_TRUE(pool.Fetch(0).pinned);
+  ASSERT_TRUE(pool.Fetch(1).pinned);
   // Both frames pinned: a third page cannot be faulted in and nothing may
   // be charged for the failed attempt.
   const BufferPoolStats before = pool.stats();
   BufferPool::FetchResult r = pool.Fetch(2);
-  EXPECT_EQ(r.page, nullptr);
+  EXPECT_FALSE(r.pinned);
   EXPECT_FALSE(r.miss);
   EXPECT_EQ(pool.stats().logical, before.logical);
   EXPECT_EQ(pool.stats().misses, before.misses);
   // Releasing one pin makes the fetch succeed by evicting the unpinned page.
   pool.Unpin(0);
   r = pool.Fetch(2);
-  ASSERT_NE(r.page, nullptr);
+  ASSERT_TRUE(r.pinned);
   EXPECT_TRUE(r.miss);
   EXPECT_FALSE(pool.Resident(0));
   EXPECT_TRUE(pool.Resident(1));
@@ -229,13 +228,13 @@ TEST(BufferPoolPropertyTest, UnboundedPoolNeverEvicts) {
   constexpr PageId kPages = 500;
   for (PageId id = 0; id < kPages; ++id) {
     BufferPool::FetchResult r = pool.Fetch(id);
-    ASSERT_NE(r.page, nullptr);
+    ASSERT_TRUE(r.pinned);
     EXPECT_TRUE(r.miss);
     pool.Unpin(id);
   }
   for (PageId id = 0; id < kPages; ++id) {
     BufferPool::FetchResult r = pool.Fetch(id);
-    ASSERT_NE(r.page, nullptr);
+    ASSERT_TRUE(r.pinned);
     EXPECT_FALSE(r.miss) << "page " << id;
     pool.Unpin(id);
   }
@@ -245,21 +244,46 @@ TEST(BufferPoolPropertyTest, UnboundedPoolNeverEvicts) {
   EXPECT_EQ(pool.stats().misses, static_cast<uint64_t>(kPages));
 }
 
-TEST(BufferPoolPropertyTest, EvictedFrameIsZeroFilledOnReuse) {
+// A frame reused by an eviction carries nothing of the page it held: the
+// new page starts with exactly one pin and a fresh CLOCK reference bit, and
+// the old page is gone from the pool.
+TEST(BufferPoolPropertyTest, EvictedFrameStartsFreshOnReuse) {
   BufferPoolOptions options;
   options.capacity_pages = 2;
+  options.policy = ReplacementPolicy::kClock;
   BufferPool pool(options);
-  BufferPool::FetchResult a = pool.Fetch(0);
-  ASSERT_NE(a.page, nullptr);
-  a.page->data[100] = std::byte{0xAB};
+  // Page 0 is pinned twice and released, so its frame has held pins.
+  ASSERT_TRUE(pool.Fetch(0).pinned);
+  ASSERT_TRUE(pool.Fetch(0).pinned);
   pool.Unpin(0);
-  ASSERT_NE(pool.Fetch(1).page, nullptr);
+  pool.Unpin(0);
+  ASSERT_TRUE(pool.Fetch(1).pinned);
   pool.Unpin(1);
-  BufferPool::FetchResult c = pool.Fetch(2);  // evicts page 0's frame
-  ASSERT_NE(c.page, nullptr);
-  ASSERT_TRUE(c.miss);
-  EXPECT_EQ(c.page->data[100], std::byte{0});
+  // The sweep clears both reference bits, then evicts page 0's frame.
+  BufferPool::FetchResult r = pool.Fetch(2);
+  ASSERT_TRUE(r.pinned);
+  ASSERT_TRUE(r.miss);
+  EXPECT_FALSE(pool.Resident(0));
+  EXPECT_EQ(pool.PinCount(0), 0u);
+  EXPECT_EQ(pool.PinCount(2), 1u);
+  EXPECT_EQ(pool.pinned_pages(), 1u);
   pool.Unpin(2);
+  EXPECT_EQ(pool.PinCount(2), 0u);
+  // Page 2's reference bit is set, page 1's was cleared by the sweep: the
+  // next miss takes page 1's frame and gives page 2 its second chance.
+  r = pool.Fetch(3);
+  ASSERT_TRUE(r.pinned);
+  ASSERT_TRUE(r.miss);
+  EXPECT_FALSE(pool.Resident(1));
+  EXPECT_TRUE(pool.Resident(2));
+  EXPECT_EQ(pool.stats().evictions, 2u);
+  // Re-fetching the evicted page is a miss, not a stale hit.
+  pool.Unpin(3);
+  r = pool.Fetch(0);
+  ASSERT_TRUE(r.pinned);
+  EXPECT_TRUE(r.miss);
+  EXPECT_EQ(pool.PinCount(0), 1u);
+  pool.Unpin(0);
 }
 
 // LRU is a stack algorithm: for one fixed reference string, the resident set
@@ -282,7 +306,7 @@ TEST(BufferPoolPropertyTest, LruHitCountMonotoneInCapacity) {
       options.policy = ReplacementPolicy::kLru;
       BufferPool pool(options);
       for (PageId id : trace) {
-        ASSERT_NE(pool.Fetch(id).page, nullptr);
+        ASSERT_TRUE(pool.Fetch(id).pinned);
         pool.Unpin(id);
       }
       EXPECT_GE(pool.stats().hits, previous_hits)
@@ -297,14 +321,14 @@ TEST(BufferPoolPropertyTest, ResetStatsKeepsResidency) {
   options.capacity_pages = 4;
   BufferPool pool(options);
   for (PageId id = 0; id < 4; ++id) {
-    ASSERT_NE(pool.Fetch(id).page, nullptr);
+    ASSERT_TRUE(pool.Fetch(id).pinned);
     pool.Unpin(id);
   }
   pool.ResetStats();
   EXPECT_EQ(pool.stats().logical, 0u);
   EXPECT_EQ(pool.resident_pages(), 4u);  // a warmed pool stays warm
   BufferPool::FetchResult r = pool.Fetch(2);
-  ASSERT_NE(r.page, nullptr);
+  ASSERT_TRUE(r.pinned);
   EXPECT_FALSE(r.miss);
   pool.Unpin(2);
 }
@@ -315,8 +339,8 @@ TEST(BufferPoolPropertyTest, UnpinIfPinnedReleasesOnlyAHeldPin) {
   BufferPool pool(options);
   pool.UnpinIfPinned(7);  // never fetched: a no-op, nothing becomes resident
   EXPECT_FALSE(pool.Resident(7));
-  ASSERT_NE(pool.Fetch(1).page, nullptr);
-  ASSERT_NE(pool.Fetch(1).page, nullptr);
+  ASSERT_TRUE(pool.Fetch(1).pinned);
+  ASSERT_TRUE(pool.Fetch(1).pinned);
   EXPECT_EQ(pool.PinCount(1), 2u);
   pool.UnpinIfPinned(1);
   EXPECT_EQ(pool.PinCount(1), 1u);

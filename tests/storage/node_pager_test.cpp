@@ -1,4 +1,4 @@
-// NodePager: the node-to-page mapping and serialization layer.
+// NodePager: the node-to-page mapping layer.
 #include <gtest/gtest.h>
 
 #include <unordered_map>
@@ -46,13 +46,10 @@ void CollectPreorder(const rtree::RStarTree::Node* node,
 TEST(NodePagerTest, PageIdsAreAPureFunctionOfTheTreeShape) {
   const rtree::RStarTree pointers = rtree::BulkLoad(MakeEntries(300, 1), SmallNodes());
   const rtree::PackedTree tree = MakeTree(300, 1);
-  NodePager a(&tree, BufferPoolOptions{});
-  NodePager b(&tree, BufferPoolOptions{});
 
   std::vector<const rtree::RStarTree::Node*> nodes;
   CollectPreorder(pointers.root(), &nodes);
-  ASSERT_EQ(a.page_count(), nodes.size());
-  ASSERT_EQ(b.page_count(), nodes.size());
+  ASSERT_EQ(tree.node_count(), nodes.size());
   std::unordered_map<const rtree::RStarTree::Node*, PageId> preorder;
   for (size_t i = 0; i < nodes.size(); ++i) preorder[nodes[i]] = static_cast<PageId>(i);
   EXPECT_EQ(preorder[pointers.root()], rtree::PackedTree::root());
@@ -68,50 +65,37 @@ TEST(NodePagerTest, PageIdsAreAPureFunctionOfTheTreeShape) {
   }
 }
 
-TEST(NodePagerTest, MaterializedPagesRoundTrip) {
-  const rtree::RStarTree pointers = rtree::BulkLoad(MakeEntries(200, 2), SmallNodes());
-  const rtree::PackedTree tree = MakeTree(200, 2);
-  NodePager pager(&tree, BufferPoolOptions{});
+// Node == page at the paper's fan-out of 30: every node's packed run of
+// entries (branches at index levels, objects at leaves) fits one page, and
+// paging the tree faults each node in as exactly one page.
+TEST(NodePagerTest, PaperFanOutNodesFitOnePageEach) {
+  const rtree::PackedTree tree =
+      rtree::BulkLoadPacked(MakeEntries(3000, 2), rtree::RStarTree::Options{});
+  ASSERT_EQ(tree.options().max_entries, 30);
+  EXPECT_LE(30 * sizeof(rtree::PackedTree::Branch), kPageSizeBytes);
+  EXPECT_LE(30 * sizeof(rtree::ObjectEntry), kPageSizeBytes);
+  ASSERT_GT(tree.height(), 1);  // both node kinds are present
 
-  std::vector<const rtree::RStarTree::Node*> nodes;
-  CollectPreorder(pointers.root(), &nodes);
-  ASSERT_EQ(pager.page_count(), nodes.size());
-  std::unordered_map<const rtree::RStarTree::Node*, PageId> preorder;
-  for (size_t i = 0; i < nodes.size(); ++i) preorder[nodes[i]] = static_cast<PageId>(i);
-  for (size_t n = 0; n < nodes.size(); ++n) {
-    const rtree::RStarTree::Node* node = nodes[n];
-    const PageId id = static_cast<PageId>(n);
-    ASSERT_LE(SerializedNodeBytes(node->slots.size()), kPageSizeBytes);
+  NodePager pager(tree, BufferPoolOptions{});
+  for (rtree::NodeId id = 0; id < tree.node_count(); ++id) {
+    const rtree::PackedTree::Node& node = tree.node(id);
+    ASSERT_LE(node.count, 30u) << "node " << id;
+    const size_t run_bytes = node.IsLeaf()
+                                 ? tree.objects(node).size_bytes()
+                                 : tree.branches(node).size_bytes();
+    EXPECT_LE(run_bytes, kPageSizeBytes) << "node " << id;
     EXPECT_TRUE(pager.Fetch(id)) << "first touch must miss";
-    const Page* page = pager.pool().Fetch(id).page;
-    ASSERT_NE(page, nullptr);
-
-    const PageHeader header = ReadPageHeader(*page);
-    EXPECT_EQ(header.level, static_cast<uint32_t>(node->level));
-    ASSERT_EQ(header.slot_count, node->slots.size());
-    for (size_t i = 0; i < node->slots.size(); ++i) {
-      const rtree::RStarTree::Slot& expected = node->slots[i];
-      const PageSlot got = ReadPageSlot(*page, i);
-      EXPECT_EQ(got.mbr.lo.x, expected.mbr.lo.x);
-      EXPECT_EQ(got.mbr.lo.y, expected.mbr.lo.y);
-      EXPECT_EQ(got.mbr.hi.x, expected.mbr.hi.x);
-      EXPECT_EQ(got.mbr.hi.y, expected.mbr.hi.y);
-      if (node->IsLeaf()) {
-        EXPECT_EQ(got.object_id, expected.object.id);
-        EXPECT_EQ(got.object_x, expected.object.position.x);
-        EXPECT_EQ(got.object_y, expected.object.position.y);
-      } else {
-        EXPECT_EQ(got.child, preorder[expected.child.get()]);
-      }
-    }
-    pager.pool().Unpin(id);  // the extra inspection pin
+    EXPECT_TRUE(pager.pool().Resident(id));
     pager.Unpin(id);
   }
+  EXPECT_EQ(pager.pool().resident_pages(), tree.node_count());
+  EXPECT_EQ(pager.pool().stats().misses, tree.node_count());
+  EXPECT_EQ(pager.pool().pinned_pages(), 0u);
 }
 
 TEST(NodePagerTest, UnboundedPoolHitsOnSecondPass) {
   const rtree::PackedTree tree = MakeTree(250, 3);
-  NodePager pager(&tree, BufferPoolOptions{});
+  NodePager pager(tree, BufferPoolOptions{});
   const size_t pages = tree.node_count();
   for (rtree::NodeId id = 0; id < pages; ++id) {
     EXPECT_TRUE(pager.Fetch(id));
@@ -130,16 +114,16 @@ TEST(NodePagerTest, BoundedCapacityIsClampedToTwoFrames) {
   const rtree::PackedTree tree = MakeTree(100, 4);
   BufferPoolOptions options;
   options.capacity_pages = 1;  // below the traversal floor
-  NodePager pager(&tree, options);
+  NodePager pager(tree, options);
   EXPECT_EQ(pager.pool().options().capacity_pages, 2u);
   // Unbounded stays unbounded.
-  NodePager unbounded(&tree, BufferPoolOptions{});
+  NodePager unbounded(tree, BufferPoolOptions{});
   EXPECT_EQ(unbounded.pool().options().capacity_pages, 0u);
 }
 
 TEST(NodePagerTest, HookedKnnMatchesUnhookedAndOnlyMissesDiffer) {
   const rtree::PackedTree tree = MakeTree(400, 5);
-  NodePager pager(&tree, BufferPoolOptions{});
+  NodePager pager(tree, BufferPoolOptions{});
   Rng rng(99);
   for (int trial = 0; trial < 20; ++trial) {
     geom::Vec2 q{rng.Uniform(0, 1000), rng.Uniform(0, 1000)};

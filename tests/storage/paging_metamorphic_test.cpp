@@ -1,9 +1,10 @@
 // Metamorphic test for the server under paging: the storage engine is a
 // pure observer of the traversals. Across pool sizes {2, 8, unbounded} and
 // both replacement policies — and against a server with no storage engine
-// at all — every query must return the identical result set with identical
-// LOGICAL page-access counts; only the physical miss counters may differ,
-// and those never exceed the logical count.
+// at all — every query (kNN, range and region kNN) must return the
+// identical result set with identical LOGICAL page-access counts; only the
+// physical miss counters may differ, and those never exceed the logical
+// count.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -12,6 +13,7 @@
 #include "src/common/rng.h"
 #include "src/core/range.h"
 #include "src/core/server.h"
+#include "src/geom/circle.h"
 #include "src/storage/page.h"
 
 namespace senn::core {
@@ -118,6 +120,31 @@ TEST(PagingMetamorphicTest, ResultsAndLogicalCountsAreIdenticalAcrossPools) {
         if (HasFatalFailure()) return;
       }
     }
+    // Region kNN (the --ship-region contact): a few seeded peer disks near
+    // q and a horizon, as SennProcessor::Prepare ships them. Its traversal
+    // holds the expanding node pinned like the others, so the 2-frame
+    // pools check it releases every pin.
+    for (int trial = 0; trial < 2; ++trial) {
+      geom::Vec2 q{rng.Uniform(0, kSide), rng.Uniform(0, kSide)};
+      const int k = 1 + static_cast<int>(rng.NextIndex(10));
+      const double horizon = rng.Uniform(kSide / 10.0, kSide / 2.0);
+      std::vector<geom::Circle> region;
+      const int peers = 1 + static_cast<int>(rng.NextIndex(4));
+      for (int p = 0; p < peers; ++p) {
+        const geom::Vec2 center{q.x + rng.Uniform(-kSide / 10.0, kSide / 10.0),
+                                q.y + rng.Uniform(-kSide / 10.0, kSide / 10.0)};
+        region.emplace_back(center, rng.Uniform(kSide / 40.0, kSide / 8.0));
+      }
+      ServerReply expected = variants[0].server->QueryKnnWithRegion(q, k, horizon, region);
+      const rtree::AccessCounter expected_inn = variants[0].server->InnBaseline(q, k);
+      for (size_t v = 1; v < variants.size(); ++v) {
+        SCOPED_TRACE(testing::Message() << "world " << world << " region trial " << trial);
+        ServerReply got = variants[v].server->QueryKnnWithRegion(q, k, horizon, region);
+        ExpectSameAnswer(expected, got, expected_inn, variants[v].server->InnBaseline(q, k),
+                         variants[v].label);
+        if (HasFatalFailure()) return;
+      }
+    }
 
     // No traversal leaks a pin.
     for (const ServerVariant& v : variants) {
@@ -145,7 +172,7 @@ TEST(PagingMetamorphicTest, UnboundedPoolMissesExactlyThePagesItFirstTouches) {
   // Every miss is a distinct page faulted in exactly once.
   EXPECT_EQ(st.misses, server.pager()->pool().resident_pages());
   EXPECT_EQ(st.logical, st.hits + st.misses);
-  EXPECT_LE(st.misses, server.pager()->page_count());
+  EXPECT_LE(st.misses, server.tree().node_count());
 }
 
 }  // namespace

@@ -54,7 +54,8 @@ using namespace senn;
       "                                   how server contacts reach the spatial server:\n"
       "                                   direct calls (default) or the full rpc wire\n"
       "                                   path through src/rpc/ in process (byte-identical\n"
-      "                                   outputs; golden-tested)\n"
+      "                                   outputs; golden-tested); --ship-region contacts\n"
+      "                                   are direct calls on both (no region request)\n"
       "  --continuous                     continuous-query mode: every host advances one\n"
       "                                   long-lived kNN query (core/continuous.h) instead\n"
       "                                   of issuing independent snapshot queries; needs\n"
