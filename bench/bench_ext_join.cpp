@@ -70,8 +70,8 @@ int main(int argc, char** argv) {
     ea.push_back({{join_rng.Uniform(0, 10000), join_rng.Uniform(0, 10000)}, i});
     eb.push_back({{join_rng.Uniform(0, 10000), join_rng.Uniform(0, 10000)}, 100000 + i});
   }
-  rtree::RStarTree ta = rtree::BulkLoad(std::move(ea));
-  rtree::RStarTree tb = rtree::BulkLoad(std::move(eb));
+  const rtree::PackedTree ta = rtree::BulkLoadPacked(std::move(ea));
+  const rtree::PackedTree tb = rtree::BulkLoadPacked(std::move(eb));
   std::printf("\n%14s %12s %16s\n", "threshold_m", "pairs", "pages (A+B)");
   std::printf("csv2,threshold_m,pairs,pages\n");
   for (double d : {10.0, 50.0, 200.0}) {

@@ -144,8 +144,4 @@ PackedTree BulkLoadPacked(std::vector<ObjectEntry> objects, RStarTree::Options o
   return tree;
 }
 
-RStarTree BulkLoad(std::vector<ObjectEntry> objects, RStarTree::Options options) {
-  return Unpack(BulkLoadPacked(std::move(objects), options));
-}
-
 }  // namespace senn::rtree

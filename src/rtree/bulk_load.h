@@ -14,9 +14,7 @@
 // scratch buffer (n/2 entries in libstdc++) plus the upper levels' branches,
 // a few percent of the leaf array.
 //
-// The resulting tree satisfies every PackedTree invariant; BulkLoad unpacks
-// the same tree into pointer nodes, which satisfy every RStarTree invariant
-// and support subsequent dynamic inserts and removals.
+// The resulting tree satisfies every PackedTree invariant.
 #pragma once
 
 #include <vector>
@@ -31,9 +29,5 @@ namespace senn::rtree {
 /// positions are allowed; co-located objects keep their input order.
 PackedTree BulkLoadPacked(std::vector<ObjectEntry> objects,
                           RStarTree::Options options = RStarTree::Options());
-
-/// The same STR tree as mutable pointer nodes: Unpack(BulkLoadPacked(...)).
-RStarTree BulkLoad(std::vector<ObjectEntry> objects,
-                   RStarTree::Options options = RStarTree::Options());
 
 }  // namespace senn::rtree

@@ -1,7 +1,5 @@
 #include "src/rtree/packed_tree.h"
 
-#include <memory>
-
 namespace senn::rtree {
 
 geom::Mbr MbrOf(std::span<const PackedTree::Branch> branches) {
@@ -91,25 +89,6 @@ NodeId PackNode(const RStarTree::Node& node, std::vector<PackedTree::Node>* node
   return id;
 }
 
-std::unique_ptr<RStarTree::Node> UnpackNode(const PackedTree& tree, NodeId id,
-                                            RStarTree::Node* parent) {
-  const PackedTree::Node& n = tree.node(id);
-  auto node = std::make_unique<RStarTree::Node>();
-  node->level = n.level;
-  node->parent = parent;
-  node->slots.reserve(n.count);
-  if (n.IsLeaf()) {
-    for (const ObjectEntry& o : tree.objects(n)) {
-      node->slots.push_back({geom::Mbr::OfPoint(o.position), nullptr, o});
-    }
-  } else {
-    for (const PackedTree::Branch& b : tree.branches(n)) {
-      node->slots.push_back({b.mbr, UnpackNode(tree, b.child, node.get()), {}});
-    }
-  }
-  return node;
-}
-
 }  // namespace
 
 PackedTree Pack(const RStarTree& tree) {
@@ -118,13 +97,6 @@ PackedTree Pack(const RStarTree& tree) {
   out.nodes_.clear();
   out.objects_.reserve(tree.size());
   PackNode(*tree.root(), &out.nodes_, &out.branches_, &out.objects_);
-  return out;
-}
-
-RStarTree Unpack(const PackedTree& tree) {
-  RStarTree out(tree.options());
-  out.root_ = UnpackNode(tree, PackedTree::root(), nullptr);
-  out.size_ = tree.size();
   return out;
 }
 

@@ -6,9 +6,9 @@
 // degenerate MBR). STR bulk loading (rtree/bulk_load.h) writes this layout
 // directly: the leaf array is the STR-sorted input vector itself, so a
 // served tree never holds a pointer node. Every read-only traversal — the
-// kNN algorithms of knn.h and the server's region, range and batched
-// searches — runs over this type only; a tree built by RStarTree::Insert is
-// queried through Pack().
+// kNN algorithms of knn.h, the server's region, range and batched searches
+// and the distance join of spatial_join.h — runs over this type only; a
+// tree built by RStarTree::Insert is queried through Pack().
 //
 // Page accesses are charged per node through ChargeNodeAccess, which also
 // routes them through an attached NodePageHook (the paged storage engine).
@@ -92,10 +92,6 @@ geom::Mbr MbrOf(std::span<const ObjectEntry> objects);
 /// Freezes a pointer tree: one preorder walk, node for node and slot for
 /// slot, so node ids equal the tree's preorder positions.
 PackedTree Pack(const RStarTree& tree);
-
-/// The inverse of Pack: a mutable pointer tree with the same nodes, slots
-/// and slot order.
-RStarTree Unpack(const PackedTree& tree);
 
 /// Storage-engine hook for tree traversals. When attached, every charged
 /// node access additionally fetches the node's backing page, so a buffer

@@ -292,118 +292,6 @@ RStarTree::Slot* RStarTree::FindSlotInParent(Node* child) {
   return nullptr;  // unreachable for a structurally sound tree
 }
 
-Status RStarTree::Remove(Vec2 position, int64_t id) {
-  // Locate the leaf slot with an exact match by descending only into nodes
-  // whose MBR contains the position.
-  Node* found_leaf = nullptr;
-  size_t found_index = 0;
-  std::vector<Node*> stack{root_.get()};
-  while (!stack.empty() && found_leaf == nullptr) {
-    Node* node = stack.back();
-    stack.pop_back();
-    if (node->IsLeaf()) {
-      for (size_t i = 0; i < node->slots.size(); ++i) {
-        const ObjectEntry& o = node->slots[i].object;
-        if (o.id == id && o.position == position) {
-          found_leaf = node;
-          found_index = i;
-          break;
-        }
-      }
-    } else {
-      for (Slot& s : node->slots) {
-        if (s.mbr.Contains(position)) stack.push_back(s.child.get());
-      }
-    }
-  }
-  if (found_leaf == nullptr) return Status::NotFound("no object with that position and id");
-  found_leaf->slots.erase(found_leaf->slots.begin() + static_cast<long>(found_index));
-  --size_;
-  CondenseAfterRemove(found_leaf);
-  return Status::OK();
-}
-
-void RStarTree::CondenseAfterRemove(Node* leaf) {
-  // Walk up; underfull nodes are dissolved and their slots reinserted.
-  std::vector<Slot> orphans;
-  std::vector<int> orphan_levels;
-  Node* node = leaf;
-  while (node->parent != nullptr) {
-    Node* parent = node->parent;
-    if (static_cast<int>(node->slots.size()) < options_.min_entries) {
-      for (Slot& s : node->slots) {
-        orphans.push_back(std::move(s));
-        orphan_levels.push_back(node->level);
-      }
-      // Unlink this node from its parent.
-      for (size_t i = 0; i < parent->slots.size(); ++i) {
-        if (parent->slots[i].child.get() == node) {
-          parent->slots.erase(parent->slots.begin() + static_cast<long>(i));
-          break;
-        }
-      }
-    } else {
-      RefreshMbrsUpward(node);
-    }
-    node = parent;
-  }
-  // Shrink the root if it lost all children, or has a single child subtree.
-  while (!root_->IsLeaf() && root_->slots.size() == 1) {
-    std::unique_ptr<Node> child = std::move(root_->slots[0].child);
-    child->parent = nullptr;
-    root_ = std::move(child);
-  }
-  if (!root_->IsLeaf() && root_->slots.empty()) {
-    root_ = std::make_unique<Node>();
-  }
-  for (size_t i = 0; i < orphans.size(); ++i) {
-    ReinsertSubtree(std::move(orphans[i]), orphan_levels[i]);
-  }
-}
-
-void RStarTree::ReinsertSubtree(Slot slot, int level) {
-  // Slots at or above the current root level cannot be grafted back in
-  // place; decompose them into their children (ultimately leaf objects).
-  if (level > 0 && level >= root_->level) {
-    Node* subtree = slot.child.get();
-    for (Slot& child_slot : subtree->slots) {
-      ReinsertSubtree(std::move(child_slot), level - 1);
-    }
-    return;
-  }
-  std::vector<bool> reinserted(static_cast<size_t>(root_->level) + 2, true);
-  InsertSlot(std::move(slot), level, &reinserted);
-}
-
-void RStarTree::RangeQuery(const Mbr& box, std::vector<ObjectEntry>* out,
-                           AccessCounter* counter) const {
-  std::vector<const Node*> stack{root_.get()};
-  while (!stack.empty()) {
-    const Node* node = stack.back();
-    stack.pop_back();
-    if (counter != nullptr) (node->IsLeaf() ? counter->leaf_nodes : counter->index_nodes) += 1;
-    for (const Slot& s : node->slots) {
-      if (!box.Intersects(s.mbr)) continue;
-      if (node->IsLeaf()) {
-        out->push_back(s.object);
-      } else {
-        stack.push_back(s.child.get());
-      }
-    }
-  }
-}
-
-void RStarTree::CircleQuery(const geom::Circle& circle, std::vector<ObjectEntry>* out,
-                            AccessCounter* counter) const {
-  Mbr box{{circle.center.x - circle.radius, circle.center.y - circle.radius},
-          {circle.center.x + circle.radius, circle.center.y + circle.radius}};
-  std::vector<ObjectEntry> candidates;
-  RangeQuery(box, &candidates, counter);
-  for (const ObjectEntry& o : candidates) {
-    if (circle.Contains(o.position)) out->push_back(o);
-  }
-}
-
 Status RStarTree::CheckInvariants() const {
   size_t object_count = 0;
   std::vector<const Node*> stack{root_.get()};

@@ -3,14 +3,14 @@
 // POI data set ("Spatial data indexing is provided with the well known
 // R*-tree algorithm", branching factor 30 for index and leaf nodes).
 //
-// The implementation is complete: ChooseSubtree with overlap minimization at
-// the leaf level, forced reinsertion (30%) on first overflow per level, and
-// the R* topological split (margin-driven axis choice, overlap-minimal
-// distribution), plus deletion with tree condensation. This mutable tree is
-// the builder: the kNN algorithms and the server read the frozen form of it
-// (rtree/packed_tree.h, via Pack or STR bulk loading), and charge node
-// accesses into AccessCounter, the page-access metric the paper evaluates
-// (Figure 17).
+// Insertion is complete: ChooseSubtree with overlap minimization at the
+// leaf level, forced reinsertion (30%) on first overflow per level, and the
+// R* topological split (margin-driven axis choice, overlap-minimal
+// distribution). This mutable tree is an insert-only builder whose one exit
+// is Pack: the kNN algorithms, the server and the distance join read only
+// the frozen form (rtree/packed_tree.h, via Pack or STR bulk loading), and
+// charge node accesses into AccessCounter, the page-access metric the paper
+// evaluates (Figure 17).
 #pragma once
 
 #include <cstdint>
@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/geom/circle.h"
 #include "src/geom/mbr.h"
 #include "src/geom/vec2.h"
 
@@ -69,8 +68,6 @@ struct AccessCounter {
   }
 };
 
-class PackedTree;
-
 /// An R*-tree storing point objects.
 class RStarTree {
  public:
@@ -83,8 +80,8 @@ class RStarTree {
     double reinsert_fraction = 0.3;
   };
 
-  /// A tree node. Exposed (read-only) so Pack and the spatial join can
-  /// traverse without friend access; mutation is private to RStarTree.
+  /// A tree node. Exposed (read-only) so Pack can traverse without friend
+  /// access; mutation is private to RStarTree.
   struct Node;
   /// One slot of a node: an MBR plus either a child node (index levels) or a
   /// stored object (leaf level).
@@ -114,30 +111,15 @@ class RStarTree {
   /// does not enforce uniqueness).
   void Insert(geom::Vec2 position, int64_t id);
 
-  /// Removes the object with the given position and id.
-  /// Returns NotFound if no exact match exists.
-  Status Remove(geom::Vec2 position, int64_t id);
-
   /// Number of stored objects.
   size_t size() const { return size_; }
   /// Height of the tree (root level + 1). A fresh tree has one empty leaf,
   /// so height is at least 1.
   int height() const { return root_->level + 1; }
-  /// MBR of all stored objects (empty rect when the tree is empty).
-  geom::Mbr bounds() const { return NodeMbr(*root_); }
   const Options& options() const { return options_; }
 
-  /// Root node for read-only traversal by search algorithms.
+  /// Root node for the read-only walk of Pack.
   const Node* root() const { return root_.get(); }
-
-  /// Appends all objects whose position lies in `box` to `out`. Counts node
-  /// accesses into `counter` when provided.
-  void RangeQuery(const geom::Mbr& box, std::vector<ObjectEntry>* out,
-                  AccessCounter* counter = nullptr) const;
-
-  /// Appends all objects within the closed disk to `out`.
-  void CircleQuery(const geom::Circle& circle, std::vector<ObjectEntry>* out,
-                   AccessCounter* counter = nullptr) const;
 
   /// Structural validation for tests: MBR containment, fan-out limits, leaf
   /// depth uniformity, object count. Returns the first violation found.
@@ -151,9 +133,6 @@ class RStarTree {
   static Options ClampOptions(Options options);
 
  private:
-  // Builds the pointer nodes of a packed tree (rtree/packed_tree.h).
-  friend RStarTree Unpack(const PackedTree& tree);
-
   Node* ChooseSubtree(const geom::Mbr& mbr, int target_level);
   void InsertSlot(Slot slot, int level, std::vector<bool>* reinserted_by_level);
   void OverflowTreatment(Node* node, std::vector<bool>* reinserted_by_level);
@@ -161,8 +140,6 @@ class RStarTree {
   void SplitNode(Node* node, std::vector<bool>* reinserted_by_level);
   void RefreshMbrsUpward(Node* node);
   Slot* FindSlotInParent(Node* child);
-  void CondenseAfterRemove(Node* leaf);
-  void ReinsertSubtree(Slot slot, int level);
 
   Options options_;
   std::unique_ptr<Node> root_;

@@ -1,15 +1,16 @@
 // R-tree distance join: all pairs (a, b), a from tree A and b from tree B,
 // with Dist(a, b) <= threshold — the classic synchronized-descent spatial
 // join (Brinkhoff, Kriegel, Seeger, SIGMOD 1993, adapted to point data and
-// a distance predicate). This is the server-side substrate for the paper's
-// second named future-work query type ("range and spatial join searches");
-// core/join.h builds the sharing-based variant on top.
+// a distance predicate) over two packed trees (rtree/packed_tree.h). This
+// is the server-side substrate for the paper's second named future-work
+// query type ("range and spatial join searches"); core/join.h builds the
+// sharing-based variant on top.
 #pragma once
 
 #include <utility>
 #include <vector>
 
-#include "src/rtree/rstar_tree.h"
+#include "src/rtree/packed_tree.h"
 
 namespace senn::rtree {
 
@@ -24,7 +25,7 @@ struct JoinPair {
 /// twice) return both (a,b) and (b,a) plus (a,a) diagonal pairs; callers
 /// filter if needed. Node accesses are charged per visited node of each
 /// tree into the respective counter when provided.
-std::vector<JoinPair> DistanceJoin(const RStarTree& left, const RStarTree& right,
+std::vector<JoinPair> DistanceJoin(const PackedTree& left, const PackedTree& right,
                                    double threshold, AccessCounter* left_counter = nullptr,
                                    AccessCounter* right_counter = nullptr);
 

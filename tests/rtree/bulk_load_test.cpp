@@ -26,15 +26,32 @@ std::vector<ObjectEntry> MakeRandomObjects(int n, Rng* rng, double extent = 1000
   return objs;
 }
 
+// The ids in every leaf of `tree`.
+std::multiset<int64_t> LeafIds(const PackedTree& tree) {
+  std::multiset<int64_t> ids;
+  for (NodeId id = 0; id < tree.node_count(); ++id) {
+    const PackedTree::Node& node = tree.node(id);
+    if (!node.IsLeaf()) continue;
+    for (const ObjectEntry& o : tree.objects(node)) ids.insert(o.id);
+  }
+  return ids;
+}
+
+size_t LeafCount(const PackedTree& tree) {
+  size_t leaves = 0;
+  for (NodeId id = 0; id < tree.node_count(); ++id) leaves += tree.node(id).IsLeaf();
+  return leaves;
+}
+
 TEST(BulkLoadTest, EmptyInput) {
-  RStarTree tree = BulkLoad({});
+  const PackedTree tree = BulkLoadPacked({});
   EXPECT_EQ(tree.size(), 0u);
   EXPECT_TRUE(tree.CheckInvariants().ok());
 }
 
 TEST(BulkLoadTest, SmallInputFallsBackToInserts) {
   Rng rng(1);
-  RStarTree tree = BulkLoad(MakeRandomObjects(20, &rng));
+  const PackedTree tree = BulkLoadPacked(MakeRandomObjects(20, &rng));
   EXPECT_EQ(tree.size(), 20u);
   EXPECT_EQ(tree.height(), 1);
   EXPECT_TRUE(tree.CheckInvariants().ok());
@@ -46,14 +63,12 @@ TEST_P(BulkLoadSizeTest, InvariantsAndCompleteness) {
   Rng rng(100 + GetParam());
   int n = GetParam();
   std::vector<ObjectEntry> objs = MakeRandomObjects(n, &rng);
-  RStarTree tree = BulkLoad(objs);
+  const PackedTree tree = BulkLoadPacked(objs);
   EXPECT_EQ(tree.size(), static_cast<size_t>(n));
   ASSERT_TRUE(tree.CheckInvariants().ok()) << tree.CheckInvariants().ToString();
-  std::vector<ObjectEntry> all;
-  tree.RangeQuery(tree.bounds(), &all);
-  std::set<int64_t> ids;
-  for (const ObjectEntry& o : all) ids.insert(o.id);
-  EXPECT_EQ(ids.size(), static_cast<size_t>(n));
+  std::multiset<int64_t> expected;
+  for (const ObjectEntry& o : objs) expected.insert(o.id);
+  EXPECT_EQ(LeafIds(tree), expected);
 }
 
 // Sizes straddling node-capacity boundaries (cap 30, min 12) including the
@@ -64,10 +79,9 @@ INSTANTIATE_TEST_SUITE_P(Sizes, BulkLoadSizeTest,
 TEST(BulkLoadTest, QueriesMatchIncrementalTree) {
   Rng rng(2);
   std::vector<ObjectEntry> objs = MakeRandomObjects(3000, &rng);
-  RStarTree bulk = BulkLoad(objs);
+  const PackedTree packed_bulk = BulkLoadPacked(objs);
   RStarTree incremental;
   for (const ObjectEntry& o : objs) incremental.Insert(o.position, o.id);
-  const PackedTree packed_bulk = Pack(bulk);
   const PackedTree packed_incremental = Pack(incremental);
   for (int trial = 0; trial < 30; ++trial) {
     Vec2 q{rng.Uniform(0, 1000), rng.Uniform(0, 1000)};
@@ -83,50 +97,20 @@ TEST(BulkLoadTest, QueriesMatchIncrementalTree) {
 TEST(BulkLoadTest, PackedTreeIsShallowerOrEqual) {
   Rng rng(3);
   std::vector<ObjectEntry> objs = MakeRandomObjects(5000, &rng);
-  RStarTree bulk = BulkLoad(objs);
+  const PackedTree bulk = BulkLoadPacked(objs);
   RStarTree incremental;
   for (const ObjectEntry& o : objs) incremental.Insert(o.position, o.id);
   EXPECT_LE(bulk.height(), incremental.height());
-}
-
-TEST(BulkLoadTest, SupportsDynamicUpdatesAfterwards) {
-  Rng rng(4);
-  std::vector<ObjectEntry> objs = MakeRandomObjects(1000, &rng);
-  RStarTree tree = BulkLoad(objs);
-  for (int i = 0; i < 200; ++i) {
-    tree.Insert({rng.Uniform(0, 1000), rng.Uniform(0, 1000)}, 10000 + i);
-  }
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(tree.Remove(objs[static_cast<size_t>(i)].position,
-                            objs[static_cast<size_t>(i)].id)
-                    .ok());
-  }
-  EXPECT_EQ(tree.size(), 1100u);
-  EXPECT_TRUE(tree.CheckInvariants().ok()) << tree.CheckInvariants().ToString();
 }
 
 TEST(BulkLoadTest, HigherUtilizationThanIncremental) {
   // STR packs near 100%: fewer leaves than one-at-a-time insertion.
   Rng rng(5);
   std::vector<ObjectEntry> objs = MakeRandomObjects(6000, &rng);
-  RStarTree bulk = BulkLoad(objs);
+  const PackedTree bulk = BulkLoadPacked(objs);
   RStarTree incremental;
   for (const ObjectEntry& o : objs) incremental.Insert(o.position, o.id);
-  auto count_leaves = [](const RStarTree& tree) {
-    int leaves = 0;
-    std::vector<const RStarTree::Node*> stack{tree.root()};
-    while (!stack.empty()) {
-      const RStarTree::Node* n = stack.back();
-      stack.pop_back();
-      if (n->IsLeaf()) {
-        ++leaves;
-      } else {
-        for (const RStarTree::Slot& s : n->slots) stack.push_back(s.child.get());
-      }
-    }
-    return leaves;
-  };
-  EXPECT_LT(count_leaves(bulk), count_leaves(incremental));
+  EXPECT_LT(LeafCount(bulk), LeafCount(Pack(incremental)));
 }
 
 TEST(BulkLoadTest, CustomOptionsRespected) {
@@ -134,9 +118,54 @@ TEST(BulkLoadTest, CustomOptionsRespected) {
   RStarTree::Options opts;
   opts.max_entries = 8;
   opts.min_entries = 3;
-  RStarTree tree = BulkLoad(MakeRandomObjects(500, &rng), opts);
+  const PackedTree tree = BulkLoadPacked(MakeRandomObjects(500, &rng), opts);
   EXPECT_TRUE(tree.CheckInvariants().ok()) << tree.CheckInvariants().ToString();
   EXPECT_EQ(tree.options().max_entries, 8);
+}
+
+// ChargeNodeAccess is the one place a packed-tree traversal counts a node:
+// charging every node once splits the count into leaves and index nodes,
+// and only an attached hook fetches pages, records misses and asks for an
+// unpin.
+TEST(BulkLoadTest, ChargingEveryNodeOnceSplitsLeavesFromIndexNodes) {
+  class EveryOtherMisses : public NodePageHook {
+   public:
+    bool Fetch(NodeId id) override {
+      fetched.push_back(id);
+      return id % 2 == 0;
+    }
+    void Unpin(NodeId) override {}
+    std::vector<NodeId> fetched;
+  };
+  Rng rng(7);
+  const PackedTree tree = BulkLoadPacked(MakeRandomObjects(4000, &rng));
+  ASSERT_GE(tree.height(), 3);
+  const uint64_t leaves = LeafCount(tree);
+  const uint64_t index_nodes = tree.node_count() - leaves;
+
+  AccessCounter counter;
+  for (NodeId id = 0; id < tree.node_count(); ++id) {
+    EXPECT_FALSE(ChargeNodeAccess(tree, id, &counter, nullptr));
+    EXPECT_FALSE(ChargeNodeAccess(tree, id, nullptr, nullptr));
+  }
+  EXPECT_EQ(counter.leaf_nodes, leaves);
+  EXPECT_EQ(counter.index_nodes, index_nodes);
+  EXPECT_EQ(counter.misses(), 0u);
+
+  EveryOtherMisses hook;
+  AccessCounter paged;
+  uint64_t leaf_misses = 0, index_misses = 0;
+  for (NodeId id = 0; id < tree.node_count(); ++id) {
+    EXPECT_TRUE(ChargeNodeAccess(tree, id, &paged, &hook));
+    if (id % 2 == 0) (tree.node(id).IsLeaf() ? leaf_misses : index_misses) += 1;
+  }
+  ASSERT_EQ(hook.fetched.size(), tree.node_count());
+  for (NodeId id = 0; id < tree.node_count(); ++id) EXPECT_EQ(hook.fetched[id], id);
+  EXPECT_EQ(paged.leaf_nodes, leaves);
+  EXPECT_EQ(paged.index_nodes, index_nodes);
+  EXPECT_EQ(paged.leaf_misses, leaf_misses);
+  EXPECT_EQ(paged.index_misses, index_misses);
+  EXPECT_EQ(paged.shared_misses + paged.private_misses, 0u);
 }
 
 // FNV-1a over a preorder walk of the tree: per node its level, slot count
@@ -303,17 +332,12 @@ TEST(BulkLoadTest, PackedShapeMatchesRecordedFingerprints) {
     EXPECT_EQ(packed.size(), n) << c.name;
     EXPECT_TRUE(packed.CheckInvariants().ok()) << c.name;
     EXPECT_EQ(ShapeFingerprint(packed), c.fingerprint) << c.name;
-    RStarTree tree = BulkLoad(std::move(c.objects), c.options);
-    EXPECT_EQ(tree.size(), n) << c.name;
-    EXPECT_TRUE(tree.CheckInvariants().ok()) << c.name;
-    EXPECT_EQ(ShapeFingerprint(tree), c.fingerprint) << c.name;
   }
 }
 
 // Pack is a lossless preorder freeze of any valid pointer tree, including
 // the irregular shapes one-at-a-time insertion leaves behind: at fan-out 8,
-// 3,000 inserts go through many R* splits and forced reinserts, and the
-// removals condense underfull nodes.
+// 3,000 inserts go through many R* splits and forced reinserts.
 TEST(BulkLoadTest, PackOfAnInsertBuiltTreeKeepsItsShape) {
   Rng rng(34);
   RStarTree::Options small;
@@ -322,9 +346,6 @@ TEST(BulkLoadTest, PackOfAnInsertBuiltTreeKeepsItsShape) {
   RStarTree tree(small);
   std::vector<ObjectEntry> objs = MakeRandomObjects(3000, &rng);
   for (const ObjectEntry& o : objs) tree.Insert(o.position, o.id);
-  for (size_t i = 0; i < objs.size(); i += 7) {
-    ASSERT_TRUE(tree.Remove(objs[i].position, objs[i].id).ok());
-  }
   ASSERT_TRUE(tree.CheckInvariants().ok());
   ASSERT_GE(tree.height(), 4);
 
@@ -333,7 +354,6 @@ TEST(BulkLoadTest, PackOfAnInsertBuiltTreeKeepsItsShape) {
   EXPECT_EQ(packed.height(), tree.height());
   EXPECT_TRUE(packed.CheckInvariants().ok()) << packed.CheckInvariants().ToString();
   EXPECT_EQ(ShapeFingerprint(packed), ShapeFingerprint(tree));
-  EXPECT_EQ(ShapeFingerprint(Unpack(packed)), ShapeFingerprint(tree));
 }
 
 }  // namespace

@@ -4,9 +4,11 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/rtree/packed_tree.h"
 
 namespace senn::rtree {
 namespace {
@@ -29,6 +31,19 @@ RStarTree BuildTree(const std::vector<ObjectEntry>& objs, RStarTree::Options opt
   return tree;
 }
 
+// Every stored object, read from the packed form of the tree.
+std::vector<ObjectEntry> Contents(const RStarTree& tree) {
+  const PackedTree packed = Pack(tree);
+  std::vector<ObjectEntry> out;
+  for (NodeId id = 0; id < packed.node_count(); ++id) {
+    const PackedTree::Node& node = packed.node(id);
+    if (!node.IsLeaf()) continue;
+    std::span<const ObjectEntry> objects = packed.objects(node);
+    out.insert(out.end(), objects.begin(), objects.end());
+  }
+  return out;
+}
+
 std::set<int64_t> Ids(const std::vector<ObjectEntry>& objs) {
   std::set<int64_t> ids;
   for (const ObjectEntry& o : objs) ids.insert(o.id);
@@ -39,11 +54,9 @@ TEST(RStarTreeTest, EmptyTree) {
   RStarTree tree;
   EXPECT_EQ(tree.size(), 0u);
   EXPECT_EQ(tree.height(), 1);
-  EXPECT_TRUE(tree.bounds().IsEmpty());
+  EXPECT_TRUE(RStarTree::NodeMbr(*tree.root()).IsEmpty());
   EXPECT_TRUE(tree.CheckInvariants().ok());
-  std::vector<ObjectEntry> out;
-  tree.RangeQuery(Mbr{{0, 0}, {10, 10}}, &out);
-  EXPECT_TRUE(out.empty());
+  EXPECT_TRUE(Contents(tree).empty());
 }
 
 TEST(RStarTreeTest, SingleInsert) {
@@ -51,8 +64,7 @@ TEST(RStarTreeTest, SingleInsert) {
   tree.Insert({5, 5}, 42);
   EXPECT_EQ(tree.size(), 1u);
   EXPECT_TRUE(tree.CheckInvariants().ok());
-  std::vector<ObjectEntry> out;
-  tree.RangeQuery(Mbr{{0, 0}, {10, 10}}, &out);
+  std::vector<ObjectEntry> out = Contents(tree);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].id, 42);
 }
@@ -70,114 +82,22 @@ TEST(RStarTreeTest, InvariantsHoldAcrossGrowth) {
   EXPECT_GE(tree.height(), 2);
 }
 
-TEST(RStarTreeTest, RangeQueryMatchesBruteForce) {
-  Rng rng(2);
-  std::vector<ObjectEntry> objs = MakeRandomObjects(1500, &rng);
-  RStarTree tree = BuildTree(objs);
-  for (int trial = 0; trial < 50; ++trial) {
-    Vec2 a{rng.Uniform(0, 1000), rng.Uniform(0, 1000)};
-    Vec2 b{rng.Uniform(0, 1000), rng.Uniform(0, 1000)};
-    Mbr box = Mbr::OfPoint(a);
-    box.Expand(b);
-    std::vector<ObjectEntry> got;
-    tree.RangeQuery(box, &got);
-    std::set<int64_t> expected;
-    for (const ObjectEntry& o : objs) {
-      if (box.Contains(o.position)) expected.insert(o.id);
-    }
-    EXPECT_EQ(Ids(got), expected) << "trial " << trial;
-  }
-}
-
-TEST(RStarTreeTest, CircleQueryMatchesBruteForce) {
-  Rng rng(3);
-  std::vector<ObjectEntry> objs = MakeRandomObjects(800, &rng);
-  RStarTree tree = BuildTree(objs);
-  for (int trial = 0; trial < 50; ++trial) {
-    geom::Circle c({rng.Uniform(0, 1000), rng.Uniform(0, 1000)}, rng.Uniform(10, 300));
-    std::vector<ObjectEntry> got;
-    tree.CircleQuery(c, &got);
-    std::set<int64_t> expected;
-    for (const ObjectEntry& o : objs) {
-      if (c.Contains(o.position)) expected.insert(o.id);
-    }
-    EXPECT_EQ(Ids(got), expected) << "trial " << trial;
-  }
-}
-
 TEST(RStarTreeTest, DuplicatePositionsAreKept) {
   RStarTree tree;
   for (int i = 0; i < 100; ++i) tree.Insert({7, 7}, i);
   EXPECT_EQ(tree.size(), 100u);
   EXPECT_TRUE(tree.CheckInvariants().ok());
-  std::vector<ObjectEntry> out;
-  tree.RangeQuery(Mbr::OfPoint({7, 7}), &out);
+  std::vector<ObjectEntry> out = Contents(tree);
   EXPECT_EQ(out.size(), 100u);
-}
-
-TEST(RStarTreeTest, RemoveExistingObject) {
-  Rng rng(4);
-  std::vector<ObjectEntry> objs = MakeRandomObjects(500, &rng);
-  RStarTree tree = BuildTree(objs);
-  ASSERT_TRUE(tree.Remove(objs[123].position, objs[123].id).ok());
-  EXPECT_EQ(tree.size(), 499u);
-  EXPECT_TRUE(tree.CheckInvariants().ok());
-  std::vector<ObjectEntry> out;
-  tree.RangeQuery(Mbr::OfPoint(objs[123].position), &out);
-  for (const ObjectEntry& o : out) EXPECT_NE(o.id, objs[123].id);
-}
-
-TEST(RStarTreeTest, RemoveMissingObjectReturnsNotFound) {
-  RStarTree tree;
-  tree.Insert({1, 1}, 1);
-  EXPECT_TRUE(tree.Remove({2, 2}, 1).IsNotFound());
-  EXPECT_TRUE(tree.Remove({1, 1}, 99).IsNotFound());
-  EXPECT_EQ(tree.size(), 1u);
-}
-
-TEST(RStarTreeTest, RemoveEverythingShrinksTree) {
-  Rng rng(5);
-  std::vector<ObjectEntry> objs = MakeRandomObjects(1000, &rng);
-  RStarTree tree = BuildTree(objs);
-  std::vector<size_t> order(objs.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  Rng shuffle_rng(6);
-  shuffle_rng.Shuffle(&order);
-  for (size_t idx : order) {
-    ASSERT_TRUE(tree.Remove(objs[idx].position, objs[idx].id).ok());
-  }
-  EXPECT_EQ(tree.size(), 0u);
-  EXPECT_EQ(tree.height(), 1);
-  EXPECT_TRUE(tree.CheckInvariants().ok());
-}
-
-TEST(RStarTreeTest, InterleavedInsertRemoveKeepsInvariants) {
-  Rng rng(7);
-  RStarTree tree;
-  std::vector<ObjectEntry> live;
-  int64_t next_id = 0;
-  for (int step = 0; step < 3000; ++step) {
-    if (live.empty() || rng.Bernoulli(0.6)) {
-      ObjectEntry o{{rng.Uniform(0, 100), rng.Uniform(0, 100)}, next_id++};
-      tree.Insert(o.position, o.id);
-      live.push_back(o);
-    } else {
-      size_t pick = rng.NextIndex(live.size());
-      ASSERT_TRUE(tree.Remove(live[pick].position, live[pick].id).ok());
-      live.erase(live.begin() + static_cast<long>(pick));
-    }
-    if (step % 250 == 249) {
-      ASSERT_TRUE(tree.CheckInvariants().ok()) << "step " << step;
-      ASSERT_EQ(tree.size(), live.size());
-    }
-  }
+  EXPECT_EQ(Ids(out).size(), 100u);
+  for (const ObjectEntry& o : out) EXPECT_EQ(o.position, (Vec2{7, 7}));
 }
 
 TEST(RStarTreeTest, BoundsCoverAllObjects) {
   Rng rng(8);
   std::vector<ObjectEntry> objs = MakeRandomObjects(300, &rng);
   RStarTree tree = BuildTree(objs);
-  Mbr b = tree.bounds();
+  Mbr b = RStarTree::NodeMbr(*tree.root());
   for (const ObjectEntry& o : objs) EXPECT_TRUE(b.Contains(o.position));
 }
 
@@ -198,9 +118,7 @@ TEST(RStarTreeTest, SmallBranchingFactorStressesSplits) {
   RStarTree tree = BuildTree(objs, opts);
   EXPECT_TRUE(tree.CheckInvariants().ok());
   EXPECT_GE(tree.height(), 4);  // fan-out 4 forces depth
-  std::vector<ObjectEntry> out;
-  tree.RangeQuery(tree.bounds(), &out);
-  EXPECT_EQ(out.size(), objs.size());
+  EXPECT_EQ(Ids(Contents(tree)), Ids(objs));
 }
 
 TEST(RStarTreeTest, ClusteredDataStillValid) {
@@ -217,20 +135,89 @@ TEST(RStarTreeTest, ClusteredDataStillValid) {
   EXPECT_EQ(tree.size(), 1500u);
 }
 
-TEST(RStarTreeTest, AccessCounterCountsNodes) {
-  Rng rng(12);
-  RStarTree tree = BuildTree(MakeRandomObjects(2000, &rng));
-  AccessCounter counter;
-  std::vector<ObjectEntry> out;
-  tree.RangeQuery(tree.bounds(), &out, &counter);
-  // Scanning everything touches every node exactly once; leaves dominate.
-  EXPECT_GT(counter.leaf_nodes, 0u);
-  EXPECT_GT(counter.index_nodes, 0u);
-  EXPECT_GE(counter.leaf_nodes, counter.index_nodes);
-  uint64_t full_scan = counter.total();
-  counter.Reset();
-  tree.RangeQuery(Mbr{{0, 0}, {50, 50}}, &out, &counter);
-  EXPECT_LT(counter.total(), full_scan);  // selective query reads fewer pages
+TEST(RStarTreeTest, ClampOptionsRepairsPathologicalValues) {
+  RStarTree::Options opts;
+  opts.max_entries = 1;
+  opts.min_entries = -3;
+  RStarTree::Options clamped = RStarTree::ClampOptions(opts);
+  EXPECT_EQ(clamped.max_entries, 4);
+  EXPECT_EQ(clamped.min_entries, 2);
+
+  opts.max_entries = 10;
+  opts.min_entries = 9;  // more than half a node cannot survive a split
+  clamped = RStarTree::ClampOptions(opts);
+  EXPECT_EQ(clamped.max_entries, 10);
+  EXPECT_EQ(clamped.min_entries, 5);
+
+  // Working values, the paper's fan-out among them, pass through unchanged.
+  clamped = RStarTree::ClampOptions(RStarTree::Options());
+  EXPECT_EQ(clamped.max_entries, 30);
+  EXPECT_EQ(clamped.min_entries, 12);
+  EXPECT_EQ(clamped.reinsert_fraction, 0.3);
+}
+
+TEST(RStarTreeTest, PathologicalOptionsStillBuildAValidTree) {
+  Rng rng(13);
+  RStarTree::Options opts;
+  opts.max_entries = 0;
+  opts.min_entries = 0;
+  std::vector<ObjectEntry> objs = MakeRandomObjects(300, &rng);
+  RStarTree tree = BuildTree(objs, opts);
+  EXPECT_EQ(tree.options().max_entries, 4);
+  EXPECT_EQ(tree.options().min_entries, 2);
+  EXPECT_TRUE(tree.CheckInvariants().ok()) << tree.CheckInvariants().ToString();
+  const PackedTree packed = Pack(tree);
+  EXPECT_EQ(packed.options().max_entries, 4);
+  EXPECT_TRUE(packed.CheckInvariants().ok()) << packed.CheckInvariants().ToString();
+  EXPECT_EQ(Ids(Contents(tree)), Ids(objs));
+}
+
+TEST(RStarTreeTest, RootMbrIsTheTightBoundOfItsObjects) {
+  Rng rng(14);
+  std::vector<ObjectEntry> objs = MakeRandomObjects(700, &rng);
+  RStarTree tree = BuildTree(objs);
+  Mbr expected = Mbr::Empty();
+  for (const ObjectEntry& o : objs) expected.Expand(Mbr::OfPoint(o.position));
+  const Mbr root = RStarTree::NodeMbr(*tree.root());
+  EXPECT_EQ(root.lo, expected.lo);
+  EXPECT_EQ(root.hi, expected.hi);
+  // The packed form's root branches bound the same rectangle.
+  const PackedTree packed = Pack(tree);
+  const Mbr packed_root = MbrOf(packed.branches(packed.node(PackedTree::root())));
+  EXPECT_EQ(packed_root.lo, expected.lo);
+  EXPECT_EQ(packed_root.hi, expected.hi);
+}
+
+// Pack is a snapshot: inserts after it change the builder, not the frozen
+// tree, and a second Pack holds both the old and the new objects.
+TEST(RStarTreeTest, InsertAfterPackLeavesTheSnapshotUnchanged) {
+  Rng rng(15);
+  std::vector<ObjectEntry> objs = MakeRandomObjects(500, &rng);
+  RStarTree tree = BuildTree(objs);
+  const PackedTree before = Pack(tree);
+  const std::vector<ObjectEntry> before_contents = Contents(tree);
+
+  std::vector<ObjectEntry> more;
+  for (int i = 0; i < 200; ++i) {
+    more.push_back({{rng.Uniform(0, 1000), rng.Uniform(0, 1000)}, 10000 + i});
+    tree.Insert(more.back().position, more.back().id);
+  }
+  ASSERT_TRUE(tree.CheckInvariants().ok());
+  EXPECT_EQ(before.size(), 500u);
+  EXPECT_TRUE(before.CheckInvariants().ok());
+  std::vector<ObjectEntry> still;
+  for (NodeId id = 0; id < before.node_count(); ++id) {
+    if (!before.node(id).IsLeaf()) continue;
+    for (const ObjectEntry& o : before.objects(before.node(id))) still.push_back(o);
+  }
+  EXPECT_EQ(Ids(still), Ids(before_contents));
+
+  const PackedTree after = Pack(tree);
+  EXPECT_EQ(after.size(), 700u);
+  EXPECT_TRUE(after.CheckInvariants().ok());
+  std::set<int64_t> all = Ids(objs);
+  for (const ObjectEntry& o : more) all.insert(o.id);
+  EXPECT_EQ(Ids(Contents(tree)), all);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // NodePager: the node-to-page mapping layer.
 #include <gtest/gtest.h>
 
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -34,33 +33,42 @@ rtree::PackedTree MakeTree(int n, uint64_t seed) {
   return rtree::BulkLoadPacked(MakeEntries(n, seed), SmallNodes());
 }
 
-void CollectPreorder(const rtree::RStarTree::Node* node,
-                     std::vector<const rtree::RStarTree::Node*>* out) {
-  out->push_back(node);
-  if (node->IsLeaf()) return;
-  for (const rtree::RStarTree::Slot& s : node->slots) CollectPreorder(s.child.get(), out);
+void CollectPreorder(const rtree::PackedTree& tree, rtree::NodeId id,
+                     std::vector<rtree::NodeId>* out) {
+  out->push_back(id);
+  const rtree::PackedTree::Node& node = tree.node(id);
+  if (node.IsLeaf()) return;
+  for (const rtree::PackedTree::Branch& b : tree.branches(node)) {
+    EXPECT_EQ(tree.node(b.child).level, node.level - 1);
+    CollectPreorder(tree, b.child, out);
+  }
 }
 
-// The pages of the STR tree the server builds, checked against the pointer
-// form of the same tree: page id i is the i-th node of its preorder walk.
+// The pages of the STR tree the server builds: walking its branches in
+// preorder from the root meets page 0, 1, 2, ... in turn, so page id i is
+// the i-th node of the walk, and a rebuild from the same input gives every
+// node the same page.
 TEST(NodePagerTest, PageIdsAreAPureFunctionOfTheTreeShape) {
-  const rtree::RStarTree pointers = rtree::BulkLoad(MakeEntries(300, 1), SmallNodes());
   const rtree::PackedTree tree = MakeTree(300, 1);
+  ASSERT_GT(tree.height(), 2);
 
-  std::vector<const rtree::RStarTree::Node*> nodes;
-  CollectPreorder(pointers.root(), &nodes);
-  ASSERT_EQ(tree.node_count(), nodes.size());
-  std::unordered_map<const rtree::RStarTree::Node*, PageId> preorder;
-  for (size_t i = 0; i < nodes.size(); ++i) preorder[nodes[i]] = static_cast<PageId>(i);
-  EXPECT_EQ(preorder[pointers.root()], rtree::PackedTree::root());
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    const rtree::PackedTree::Node& node = tree.node(static_cast<rtree::NodeId>(i));
-    EXPECT_EQ(node.level, nodes[i]->level);
-    ASSERT_EQ(node.count, nodes[i]->slots.size());
+  std::vector<rtree::NodeId> preorder;
+  CollectPreorder(tree, rtree::PackedTree::root(), &preorder);
+  ASSERT_EQ(preorder.size(), tree.node_count());
+  for (size_t i = 0; i < preorder.size(); ++i) {
+    EXPECT_EQ(preorder[i], static_cast<PageId>(i));
+  }
+
+  const rtree::PackedTree rebuilt = MakeTree(300, 1);
+  ASSERT_EQ(rebuilt.node_count(), tree.node_count());
+  for (rtree::NodeId id = 0; id < tree.node_count(); ++id) {
+    const rtree::PackedTree::Node& node = tree.node(id);
+    const rtree::PackedTree::Node& again = rebuilt.node(id);
+    EXPECT_EQ(again.level, node.level);
+    ASSERT_EQ(again.count, node.count);
     if (node.IsLeaf()) continue;
     for (size_t j = 0; j < node.count; ++j) {
-      EXPECT_EQ(tree.branches(node)[j].child, preorder[nodes[i]->slots[j].child.get()]);
-      EXPECT_LT(tree.branches(node)[j].child, nodes.size());
+      EXPECT_EQ(rebuilt.branches(again)[j].child, tree.branches(node)[j].child);
     }
   }
 }
