@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <span>
+#include <utility>
 
 #include "src/core/range.h"
 #include "src/geom/region.h"
@@ -10,23 +11,41 @@
 
 namespace senn::core {
 
-SpatialServer::SpatialServer(std::vector<Poi> pois, rtree::RStarTree::Options tree_options,
-                             rtree::AccessCountMode count_mode,
-                             std::optional<storage::BufferPoolOptions> storage)
-    : poi_count_(pois.size()), count_mode_(count_mode) {
-  // Static POI sets are packed with STR: tighter leaves and much faster
-  // construction than one-at-a-time insertion for county-scale data. The
-  // tree is the only copy kept: the POIs are freed before the packing, and
-  // the sorted entries become the tree's leaf array.
+std::vector<rtree::ObjectEntry> PoiEntries(std::span<const Poi> pois) {
   std::vector<rtree::ObjectEntry> entries;
   entries.reserve(pois.size());
   for (const Poi& poi : pois) entries.push_back({poi.position, poi.id});
+  return entries;
+}
+
+namespace {
+
+// The entries of `pois`, with the POIs freed before the tree is packed.
+std::vector<rtree::ObjectEntry> ConsumePois(std::vector<Poi> pois) {
+  std::vector<rtree::ObjectEntry> entries = PoiEntries(pois);
   std::vector<Poi>().swap(pois);
-  tree_ = rtree::BulkLoadPacked(std::move(entries), tree_options);
+  return entries;
+}
+
+}  // namespace
+
+SpatialServer::SpatialServer(std::vector<rtree::ObjectEntry> entries,
+                             rtree::RStarTree::Options tree_options,
+                             rtree::AccessCountMode count_mode,
+                             std::optional<storage::BufferPoolOptions> storage)
+    : tree_(rtree::BulkLoadPacked(std::move(entries), tree_options)), count_mode_(count_mode) {
+  // Static POI sets are packed with STR: tighter leaves and much faster
+  // construction than one-at-a-time insertion for county-scale data. The
+  // sorted entries become the tree's leaf array, the only copy kept.
   if (storage.has_value()) {
     pager_ = std::make_unique<storage::NodePager>(tree_, *storage);
   }
 }
+
+SpatialServer::SpatialServer(std::vector<Poi> pois, rtree::RStarTree::Options tree_options,
+                             rtree::AccessCountMode count_mode,
+                             std::optional<storage::BufferPoolOptions> storage)
+    : SpatialServer(ConsumePois(std::move(pois)), tree_options, count_mode, storage) {}
 
 namespace {
 

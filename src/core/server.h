@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "src/core/types.h"
@@ -53,22 +54,35 @@ struct ServerReply {
   bool operator==(const ServerReply&) const = default;
 };
 
+/// The tree entries of `pois`, in order: one (position, id) per POI.
+std::vector<rtree::ObjectEntry> PoiEntries(std::span<const Poi> pois);
+
 /// The spatial database server. The packed R*-tree (rtree/packed_tree.h)
-/// is its only copy of the POI set: the constructor consumes `pois` and
-/// keeps just their count. A server stays where it was built (no copy, no
-/// move): its storage engine points at its tree.
+/// is its only copy of the POI set: the constructor consumes its input, and
+/// the STR-sorted entries become the tree's leaf array. A server stays
+/// where it was built (no copy, no move): its storage engine points at its
+/// tree.
 class SpatialServer {
  public:
-  /// Builds the R*-tree over the POI set with STR, straight into the packed
-  /// layout. `tree_options` defaults to the paper's branching factor of 30.
-  /// Pass the POIs by move to spare a copy; they are freed before the tree
-  /// is packed.
+  /// Builds the R*-tree over the POI entries (PoiEntries) with STR,
+  /// straight into the packed layout; DefaultTreeOptions() is the paper's
+  /// branching factor of 30. Pass the entries by move: then they are the
+  /// only full-size array of the build, sorted in place with a bounded
+  /// buffer (rtree/bulk_load.h) into the tree's leaf array. `tree_options`
+  /// has no default here, so a one-argument braced list such as
+  /// `SpatialServer({})` still means POIs.
   ///
   /// `storage`, when given, puts a paged storage engine (src/storage/)
   /// under the tree: every answering traversal (EINN, the pruned range
   /// scan) fetches nodes through a buffer pool, so the reply's access
   /// counters additionally report physical misses. Logical access counts
   /// are identical with and without a pool.
+  SpatialServer(std::vector<rtree::ObjectEntry> entries, rtree::RStarTree::Options tree_options,
+                rtree::AccessCountMode count_mode = rtree::AccessCountMode::kOnExpand,
+                std::optional<storage::BufferPoolOptions> storage = std::nullopt);
+  /// The same server over POIs: converts them to entries, frees them and
+  /// builds as above. A caller that can write entries directly spares the
+  /// POI array.
   explicit SpatialServer(std::vector<Poi> pois,
                          rtree::RStarTree::Options tree_options = DefaultTreeOptions(),
                          rtree::AccessCountMode count_mode = rtree::AccessCountMode::kOnExpand,
@@ -121,7 +135,7 @@ class SpatialServer {
   /// k and count_mode().
   rtree::AccessCounter InnBaseline(geom::Vec2 q, int k) const;
 
-  size_t poi_count() const { return poi_count_; }
+  size_t poi_count() const { return tree_.size(); }
   const rtree::PackedTree& tree() const { return tree_; }
   const ServerStats& stats() const { return stats_; }
   rtree::AccessCountMode count_mode() const { return count_mode_; }
@@ -143,7 +157,6 @@ class SpatialServer {
   void ResetStats() { stats_ = ServerStats{}; }
 
  private:
-  size_t poi_count_;
   rtree::PackedTree tree_;
   rtree::AccessCountMode count_mode_;
   std::unique_ptr<storage::NodePager> pager_;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <span>
+#include <utility>
 
 namespace senn::rtree {
 
@@ -19,6 +20,80 @@ struct Run {
 
 geom::Vec2 CenterOf(const ObjectEntry& o) { return geom::Mbr::OfPoint(o.position).Center(); }
 geom::Vec2 CenterOf(const Branch& b) { return b.mbr.Center(); }
+
+// The sort's chunk length, which is also its merge buffer's length: 32K
+// items, 768 KiB of ObjectEntry. A level of n items sorts with this much
+// scratch (plus std::stable_sort's half-chunk inside one chunk) instead of
+// the n/2 items std::stable_sort of the whole level would take.
+constexpr size_t kSortChunk = size_t{1} << 15;
+
+// Stably merges the sorted runs [first, middle) and [middle, last) through
+// `buffer`. A run that fits the buffer is moved there and merged back in
+// one pass; when neither fits, the larger run is cut at its middle, the
+// other at the matching bound, and the two inner pieces are rotated past
+// each other so that each half merges on its own. Ties keep the left run
+// first throughout, as std::stable_sort's merges do.
+template <typename Item, typename Less>
+void MergeRuns(Item* first, Item* middle, Item* last, std::span<Item> buffer, Less less) {
+  const size_t len1 = static_cast<size_t>(middle - first);
+  const size_t len2 = static_cast<size_t>(last - middle);
+  if (len1 == 0 || len2 == 0) return;
+  if (len1 <= len2 && len1 <= buffer.size()) {
+    Item* left = buffer.data();
+    Item* const left_end = std::move(first, middle, left);
+    Item* right = middle;
+    Item* out = first;
+    while (left != left_end && right != last) {
+      *out++ = less(*right, *left) ? std::move(*right++) : std::move(*left++);
+    }
+    std::move(left, left_end, out);
+  } else if (len2 <= buffer.size()) {
+    Item* const right_begin = buffer.data();
+    Item* right = std::move(middle, last, right_begin);
+    Item* left = middle;
+    Item* out = last;
+    while (left != first && right != right_begin) {
+      *--out = less(*(right - 1), *(left - 1)) ? std::move(*--left) : std::move(*--right);
+    }
+    std::move_backward(right_begin, right, out);
+  } else {
+    Item* first_cut;
+    Item* second_cut;
+    if (len1 > len2) {
+      first_cut = first + len1 / 2;
+      second_cut = std::lower_bound(middle, last, *first_cut, less);
+    } else {
+      second_cut = middle + len2 / 2;
+      first_cut = std::upper_bound(first, middle, *second_cut, less);
+    }
+    Item* const new_middle = std::rotate(first_cut, middle, second_cut);
+    MergeRuns(first, first_cut, new_middle, buffer, less);
+    MergeRuns(new_middle, second_cut, last, buffer, less);
+  }
+}
+
+// std::stable_sort of `items` with bounded scratch: chunks of kSortChunk
+// are stable-sorted, then merged bottom-up, neighbors in order, through one
+// chunk-sized buffer. A stable sort's result is unique (ties in input
+// order; -0.0 and +0.0 tie under "<"), so this is exactly the order
+// std::stable_sort gives.
+template <typename Item, typename Less>
+void BoundedStableSort(std::span<Item> items, Less less) {
+  const size_t n = items.size();
+  for (size_t begin = 0; begin < n; begin += kSortChunk) {
+    std::stable_sort(items.begin() + static_cast<long>(begin),
+                     items.begin() + static_cast<long>(std::min(begin + kSortChunk, n)), less);
+  }
+  if (n <= kSortChunk) return;
+  std::vector<Item> buffer(kSortChunk);
+  Item* const base = items.data();
+  for (size_t width = kSortChunk; width < n; width *= 2) {
+    for (size_t begin = 0; begin + width < n; begin += 2 * width) {
+      MergeRuns(base + begin, base + begin + width, base + std::min(begin + 2 * width, n),
+                std::span<Item>(buffer), less);
+    }
+  }
+}
 
 // Splits `count` items into groups of at most `cap`, rebalancing the tail so
 // every group has at least `min_size` (requires cap >= 2 * min_size, which
@@ -58,7 +133,7 @@ std::vector<Run> PackLevel(std::vector<Item>& items, const RStarTree::Options& o
   // the leaf level, child packing order above), so the packing is a pure
   // function of the input sequence even for duplicate coordinates (lattice
   // worlds).
-  std::stable_sort(items.begin(), items.end(), [](const Item& a, const Item& b) {
+  BoundedStableSort(std::span<Item>(items), [](const Item& a, const Item& b) {
     return CenterOf(a).x < CenterOf(b).x;
   });
 
@@ -69,11 +144,8 @@ std::vector<Run> PackLevel(std::vector<Item>& items, const RStarTree::Options& o
     size_t end = std::min(begin + slice_size, n);
     // Absorb a tail slice too small to form a legal node.
     if (n - end > 0 && n - end < min_size) end = n;
-    std::stable_sort(items.begin() + static_cast<long>(begin),
-                     items.begin() + static_cast<long>(end),
-                     [](const Item& a, const Item& b) {
-                       return CenterOf(a).y < CenterOf(b).y;
-                     });
+    BoundedStableSort(std::span<Item>(items).subspan(begin, end - begin),
+                      [](const Item& a, const Item& b) { return CenterOf(a).y < CenterOf(b).y; });
     size_t cursor = begin;
     for (size_t take : GroupSizes(end - begin, cap, min_size)) {
       runs.push_back({static_cast<uint32_t>(cursor), static_cast<uint32_t>(take)});

@@ -10,9 +10,11 @@
 // that sorted vector becomes the packed tree's leaf array: a leaf is a run
 // of it. Above, it sorts (MBR, child) branches. A final preorder walk gives
 // every node its id and lays the index nodes' branches out in that order.
-// Besides the finished tree, the temporary memory is std::stable_sort's
-// scratch buffer (n/2 entries in libstdc++) plus the upper levels' branches,
-// a few percent of the leaf array.
+// The sorts are stable with bounded scratch: chunks of 32K items are
+// stable-sorted and merged through one buffer of the same size, in exactly
+// std::stable_sort's order. So besides the finished tree, the temporary
+// memory is that buffer (768 KiB of entries, whatever n is) plus the upper
+// levels' branches, a few percent of the leaf array.
 //
 // The resulting tree satisfies every PackedTree invariant.
 #pragma once

@@ -37,7 +37,8 @@ void Simulator::BuildWorld() {
     pois_.push_back({i, {poi_rng.Uniform(0, side), poi_rng.Uniform(0, side)}});
   }
   server_ = std::make_unique<core::SpatialServer>(
-      pois_, core::SpatialServer::DefaultTreeOptions(), config_.page_count_mode,
+      core::PoiEntries(pois_), core::SpatialServer::DefaultTreeOptions(),
+      config_.page_count_mode,
       config_.paged_storage ? std::optional<storage::BufferPoolOptions>(config_.buffer)
                             : std::nullopt);
   senn_ = std::make_unique<core::SennProcessor>(server_.get(), config_.senn);

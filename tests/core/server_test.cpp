@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <optional>
 #include <type_traits>
 
 #include "src/common/rng.h"
@@ -63,6 +65,81 @@ TEST(SpatialServerTest, PoiCountSurvivesConstruction) {
   SpatialServer empty({});
   EXPECT_EQ(empty.poi_count(), 0u);
   EXPECT_TRUE(empty.QueryKnn({0, 0}, 3).neighbors.empty());
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+bool SamePoint(Vec2 p, Vec2 q) { return Bits(p.x) == Bits(q.x) && Bits(p.y) == Bits(q.y); }
+
+void ExpectSameTree(const rtree::PackedTree& a, const rtree::PackedTree& b) {
+  ASSERT_EQ(a.node_count(), b.node_count());
+  ASSERT_EQ(a.size(), b.size());
+  for (rtree::NodeId id = 0; id < a.node_count(); ++id) {
+    const rtree::PackedTree::Node& x = a.node(id);
+    const rtree::PackedTree::Node& y = b.node(id);
+    ASSERT_EQ(x.first, y.first) << id;
+    ASSERT_EQ(x.count, y.count) << id;
+    ASSERT_EQ(x.level, y.level) << id;
+    if (x.IsLeaf()) {
+      for (uint32_t i = 0; i < x.count; ++i) {
+        EXPECT_TRUE(SamePoint(a.objects(x)[i].position, b.objects(y)[i].position)) << id;
+        EXPECT_EQ(a.objects(x)[i].id, b.objects(y)[i].id) << id;
+      }
+      continue;
+    }
+    for (uint32_t i = 0; i < x.count; ++i) {
+      EXPECT_TRUE(SamePoint(a.branches(x)[i].mbr.lo, b.branches(y)[i].mbr.lo)) << id;
+      EXPECT_TRUE(SamePoint(a.branches(x)[i].mbr.hi, b.branches(y)[i].mbr.hi)) << id;
+      EXPECT_EQ(a.branches(x)[i].child, b.branches(y)[i].child) << id;
+    }
+  }
+}
+
+// The entries constructor and the POI constructor build the same server:
+// the same node, branch and object arrays, and the same replies in memory
+// and through a small LRU pool. The world holds every position three
+// times, every seventh position has x = +0.0 or -0.0, and ids are shuffled
+// against input order.
+TEST(SpatialServerTest, EntryAndPoiConstructorsBuildTheSameServer) {
+  Rng rng(10);
+  std::vector<Poi> pois;
+  for (int i = 0; i < 2000; ++i) {
+    Vec2 p{rng.Uniform(0, 1000), rng.Uniform(0, 1000)};
+    if (i % 7 == 0) p.x = (i % 2 == 0) ? 0.0 : -0.0;
+    for (int copy = 0; copy < 3; ++copy) pois.push_back({0, p});
+  }
+  std::vector<PoiId> ids(pois.size());
+  for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<PoiId>(i);
+  rng.Shuffle(&ids);
+  for (size_t i = 0; i < pois.size(); ++i) pois[i].id = ids[i];
+  std::vector<rtree::ObjectEntry> entries;
+  for (const Poi& poi : pois) entries.push_back({poi.position, poi.id});
+
+  storage::BufferPoolOptions pool;
+  pool.capacity_pages = 8;
+  pool.policy = storage::ReplacementPolicy::kLru;
+  for (const std::optional<storage::BufferPoolOptions>& storage :
+       {std::optional<storage::BufferPoolOptions>(), std::optional(pool)}) {
+    SpatialServer from_entries(entries, SpatialServer::DefaultTreeOptions(),
+                               rtree::AccessCountMode::kOnExpand, storage);
+    SpatialServer from_pois(pois, SpatialServer::DefaultTreeOptions(),
+                            rtree::AccessCountMode::kOnExpand, storage);
+    EXPECT_EQ(from_entries.poi_count(), pois.size());
+    EXPECT_EQ(from_entries.poi_count(), from_pois.poi_count());
+    ExpectSameTree(from_entries.tree(), from_pois.tree());
+    for (int trial = 0; trial < 60; ++trial) {
+      Vec2 q{rng.Uniform(-50, 1050), rng.Uniform(-50, 1050)};
+      const int k = 1 + static_cast<int>(rng.NextIndex(12));
+      const ServerReply a = from_entries.QueryKnn(q, k);
+      const ServerReply b = from_pois.QueryKnn(q, k);
+      ASSERT_EQ(a, b) << trial;
+      for (size_t i = 0; i < a.neighbors.size(); ++i) {
+        EXPECT_TRUE(SamePoint(a.neighbors[i].position, b.neighbors[i].position)) << trial;
+        EXPECT_EQ(Bits(a.neighbors[i].distance), Bits(b.neighbors[i].distance)) << trial;
+      }
+    }
+    EXPECT_EQ(from_entries.stats().einn, from_pois.stats().einn);
+  }
 }
 
 TEST(SpatialServerTest, PlainQueryMatchesBruteForce) {

@@ -253,13 +253,13 @@ uint64_t ShapeFingerprint(const PackedTree& tree) {
   return f.value();
 }
 
-// Co-located points: a 40x40 lattice, each site held 6 times, ids shuffled
-// so that input order and id order disagree.
-std::vector<ObjectEntry> LatticeObjects() {
+// Co-located points: a side x side lattice, each site held `copies` times,
+// ids shuffled so that input order and id order disagree.
+std::vector<ObjectEntry> LatticeObjects(int side = 40, int copies = 6) {
   std::vector<ObjectEntry> objs;
-  for (int copy = 0; copy < 6; ++copy) {
-    for (int i = 0; i < 40; ++i) {
-      for (int j = 0; j < 40; ++j) objs.push_back({{i * 25.0, j * 25.0}, 0});
+  for (int copy = 0; copy < copies; ++copy) {
+    for (int i = 0; i < side; ++i) {
+      for (int j = 0; j < side; ++j) objs.push_back({{i * 25.0, j * 25.0}, 0});
     }
   }
   std::vector<int64_t> ids(objs.size());
@@ -287,10 +287,10 @@ std::vector<ObjectEntry> HotspotObjects() {
 // Coordinates around the origin, with exact -0.0 and +0.0 mixed in on both
 // axes: STR's "<" treats the two zeros as equal, so they must keep their
 // input order, while the MBRs record which zero came first.
-std::vector<ObjectEntry> SignedZeroObjects() {
+std::vector<ObjectEntry> SignedZeroObjects(int n = 3000) {
   Rng rng(33);
   std::vector<ObjectEntry> objs;
-  for (int i = 0; i < 3000; ++i) {
+  for (int i = 0; i < n; ++i) {
     Vec2 p{rng.Uniform(-500, 500), rng.Uniform(-500, 500)};
     if (i % 3 == 0) p.x = (i % 2 == 0) ? 0.0 : -0.0;
     if (i % 5 == 0) p.y = (i % 4 == 0) ? -0.0 : 0.0;
@@ -300,7 +300,13 @@ std::vector<ObjectEntry> SignedZeroObjects() {
 }
 
 // Pins the exact packed shape: a change to the STR packer that is meant to
-// be a pure speed or memory change must keep every one of these.
+// be a pure speed or memory change must keep every one of these. The
+// packer sorts in chunks of 32K items merged through a buffer of the same
+// size; the last four cases are large enough to merge across chunks: the
+// big lattice's ties (each x value held 5,200 times, in every chunk) and
+// the signed zeros straddle chunk boundaries, 150,001 uniform points make
+// five chunks, the last one short, and at fan-out 8 the 37,500 leaves of
+// 300,000 points make the branch level merge too.
 TEST(BulkLoadTest, PackedShapeMatchesRecordedFingerprints) {
   struct Case {
     const char* name;
@@ -326,6 +332,10 @@ TEST(BulkLoadTest, PackedShapeMatchesRecordedFingerprints) {
   cases.push_back({"hotspots", HotspotObjects(), {}, 17170030887914338905ULL});
   cases.push_back({"signed_zero", SignedZeroObjects(), {}, 14344744092756440684ULL});
   cases.push_back({"fanout_8_3", uniform(5000), small, 5286098656492171123ULL});
+  cases.push_back({"lattice_208000", LatticeObjects(100, 52), {}, 17954227511933981849ULL});
+  cases.push_back({"signed_zero_120000", SignedZeroObjects(120000), {}, 8740691950388844627ULL});
+  cases.push_back({"uniform_150001", uniform(150001), {}, 878890877589774689ULL});
+  cases.push_back({"fanout_8_3_300000", uniform(300000), small, 3991163214095599957ULL});
   for (Case& c : cases) {
     const size_t n = c.objects.size();
     const PackedTree packed = BulkLoadPacked(c.objects, c.options);

@@ -122,16 +122,19 @@ int main(int argc, char** argv) {
   }
 
   // The simulator's world recipe: POIs uniform over the area, from the
-  // seed's "world/poi" stream.
+  // seed's "world/poi" stream, x drawn before y. They are written straight
+  // as tree entries, which the server packs in place.
   Rng rng(seed);
   Rng poi_rng = rng.Stream("world/poi");
-  std::vector<core::Poi> poi_set;
-  poi_set.reserve(static_cast<size_t>(pois));
+  std::vector<rtree::ObjectEntry> entries;
+  entries.reserve(static_cast<size_t>(pois));
   for (int i = 0; i < pois; ++i) {
-    poi_set.push_back({i, {poi_rng.Uniform(0, side), poi_rng.Uniform(0, side)}});
+    const double x = poi_rng.Uniform(0, side);
+    const double y = poi_rng.Uniform(0, side);
+    entries.push_back({{x, y}, i});
   }
   core::SpatialServer spatial(
-      std::move(poi_set), core::SpatialServer::DefaultTreeOptions(),
+      std::move(entries), core::SpatialServer::DefaultTreeOptions(),
       rtree::AccessCountMode::kOnExpand,
       paged ? std::optional<storage::BufferPoolOptions>(pool) : std::nullopt);
 
