@@ -3,7 +3,6 @@
 #include <cassert>
 #include <utility>
 
-#include "src/core/range.h"
 #include "src/core/single_peer.h"
 
 namespace senn::core {
@@ -125,7 +124,6 @@ StepResult ContinuousKnn::ResolveWithPeers(
   }
   result.neighbors = outcome.neighbors;
   result.einn_accesses = outcome.einn_accesses;
-  result.inn_accesses = outcome.inn_accesses;
   result.peers_consulted = outcome.peers_consulted;
   // Refresh the rolling cache with the new certain prefix (cache policy 1),
   // then rebuild the safe region anchored at the answer position. Rival
@@ -158,7 +156,7 @@ void ContinuousKnn::RebuildRegion(geom::Vec2 position, bool server_grade) {
   if (options_.safe_region == SafeRegionMode::kOff) return;
   const std::vector<RankedPoi>& prefix = cache_.neighbors;
   if (options_.safe_region == SafeRegionMode::kInsq && server_grade &&
-      prefix.size() >= static_cast<size_t>(k_) && senn_->server() != nullptr) {
+      prefix.size() >= static_cast<size_t>(k_) && senn_->link() != nullptr) {
     // INSQ rival fetch: every POI of the FULL table within d_k + 2*horizon
     // of the answer position (horizon = the prefix radius d_m). Logical
     // accesses only — the fetch piggybacks on the answering contact, so it
@@ -166,12 +164,10 @@ void ContinuousKnn::RebuildRegion(geom::Vec2 position, bool server_grade) {
     const double d_k = prefix[static_cast<size_t>(k_) - 1].distance;
     const double horizon = prefix.back().distance;
     if (horizon > 0.0) {
-      rtree::AccessCounter counter;
-      std::vector<RankedPoi> rivals = PrunedCircleQuery(
-          senn_->server()->tree(), position, d_k + 2.0 * horizon, 0.0, &counter);
-      last_region_pages_ = counter.total();
+      ServerReply rivals = senn_->link()->QueryRivals(position, d_k + 2.0 * horizon);
+      last_region_pages_ = rivals.einn_accesses.total();
       region_ =
-          SafeRegion::BuildInsq(position, prefix, k_, horizon, std::move(rivals));
+          SafeRegion::BuildInsq(position, prefix, k_, horizon, std::move(rivals.neighbors));
     }
   }
   if (!region_.Valid()) {

@@ -65,7 +65,6 @@ struct StepResult {
   std::vector<RankedPoi> neighbors;
   /// Server page accesses (kServer steps only).
   rtree::AccessCounter einn_accesses;
-  rtree::AccessCounter inn_accesses;
   /// Logical R*-tree accesses of the INSQ rival fetch (server-answered
   /// steps in kInsq mode only).
   uint64_t region_pages = 0;
@@ -103,9 +102,9 @@ class ContinuousKnn {
   /// the constructor asserts the same precondition.
   static Status ValidateK(int k);
 
-  /// `senn` must outlive this object. `k` is fixed for the query's lifetime
-  /// and must be >= 1 (see ValidateK) — invalid k is a programming error
-  /// here, not silently clamped.
+  /// `senn` must outlive this object; its link serves every server contact.
+  /// `k` is fixed for the query's lifetime and must be >= 1 (see ValidateK)
+  /// — invalid k is a programming error here, not silently clamped.
   ContinuousKnn(const SennProcessor* senn, int k, ContinuousOptions options = {});
 
   /// The zero-communication half of a step: the safe region first (one

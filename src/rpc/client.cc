@@ -31,6 +31,23 @@ Result<core::ServerReply> Client::Knn(const KnnRequest& request) {
   return Wait(id);
 }
 
+template <class Request>
+Result<core::ServerReply> Client::Call(
+    const Request& request, void (*encode)(uint64_t, const Request&, std::vector<uint8_t>*)) {
+  const uint64_t id = next_id_++;
+  encode(id, request, &outbox_);
+  ++inflight_;
+  return Wait(id);
+}
+
+Result<core::ServerReply> Client::RegionKnn(const RegionKnnRequest& request) {
+  return Call(request, EncodeRegionKnnRequest);
+}
+
+Result<core::ServerReply> Client::Rivals(const RivalRequest& request) {
+  return Call(request, EncodeRivalRequest);
+}
+
 uint64_t Client::SendKnn(const KnnRequest& request) {
   const uint64_t id = next_id_++;
   EncodeKnnRequest(id, request, &outbox_);

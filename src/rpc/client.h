@@ -4,6 +4,7 @@
 // Blocking:
 //   rpc::Client client(&transport);
 //   Result<core::ServerReply> r = client.Knn({q, k, certified, bounds});
+//   (RegionKnn and Rivals are the blocking calls of the other two requests.)
 //
 // Pipelined (the server batches a burst into shared traversals):
 //   std::vector<uint64_t> ids;
@@ -43,6 +44,9 @@ class Client {
 
   /// Blocking round trip: SendKnn + Flush + Wait.
   Result<core::ServerReply> Knn(const KnnRequest& request);
+  /// Blocking round trips of the region kNN and rival requests.
+  Result<core::ServerReply> RegionKnn(const RegionKnnRequest& request);
+  Result<core::ServerReply> Rivals(const RivalRequest& request);
 
   /// Pipelined half-calls ----------------------------------------------------
   /// Encodes the request into the send buffer; returns its request id.
@@ -67,6 +71,10 @@ class Client {
   /// one new frame arrived.
   Status Pump();
   void FileFrame(Frame frame);
+  /// Buffers one request frame via `encode`, then waits for its reply.
+  template <class Request>
+  Result<core::ServerReply> Call(
+      const Request& request, void (*encode)(uint64_t, const Request&, std::vector<uint8_t>*));
 
   Transport* transport_;
   FrameDecoder decoder_;

@@ -4,9 +4,15 @@
 // loops and the deterministic loopback transport both hand it one *dispatch
 // group* at a time — the frames a connection had pipelined by the time it
 // was read — and receive the encoded reply bytes, in request order. One
-// group is answered by ONE core::BatchServer call, so co-located queries
-// inside a pipelined burst share EINN traversals, single-charge miss
-// accounting included.
+// group's kNN requests are answered by ONE core::BatchServer call, so
+// co-located queries inside a pipelined burst share EINN traversals,
+// single-charge miss accounting included.
+//
+// Answer order within a group: the engine sees the group's region and
+// rival requests first, one SpatialServer call each in arrival order, and
+// then its kNN requests as one batch. Replies still leave in request
+// order. Only a bounded pool's miss counters can tell the two orders apart,
+// and the simulator's groups hold one request each.
 //
 // Protocol-boundary hardening happens here, before anything reaches the
 // engine: undecodable payloads, unsupported opcodes, and semantically
@@ -43,7 +49,7 @@ struct ServiceOptions {
   /// Clustering knobs of the per-group shared traversals. The default
   /// batches up to core::BatchOptions::max_group (8) co-located requests;
   /// `max_group = 1` answers every request with a verbatim sequential
-  /// QueryKnn call, which the simulator's loopback mode sets explicitly.
+  /// QueryKnn call, which rpc::LoopbackLink sets explicitly.
   core::BatchOptions batch;
 };
 
@@ -52,9 +58,15 @@ struct ServiceOptions {
 struct ServiceStats {
   uint64_t groups = 0;
   uint64_t requests = 0;
+  /// kKnnReply and kPong frames sent: knn + region + rival + pings.
   uint64_t replies = 0;
   uint64_t errors = 0;
   uint64_t pings = 0;
+  /// Answered requests per opcode (kKnnRequest, kRegionKnnRequest,
+  /// kRivalRequest).
+  uint64_t knn = 0;
+  uint64_t region = 0;
+  uint64_t rival = 0;
 };
 
 class QueryService {
@@ -71,10 +83,11 @@ class QueryService {
   /// frames appended to `*out` in the SAME order (per-connection FIFO is
   /// the transport contract, and it starts here). All decodable, valid kNN
   /// requests of the group are answered by one BatchServer::AnswerBatch
-  /// call; everything else gets its kError/kPong reply in place.
+  /// call, after the region and rival requests (see the header comment);
+  /// everything else gets its kError/kPong reply in place.
   ///
-  /// `tracer` is an in-process observability side-band (the simulator's
-  /// loopback mode threads its span tracer through it); remote transports
+  /// `tracer` is an in-process observability side-band (rpc::LoopbackLink
+  /// threads the simulator's span tracer through it); remote transports
   /// pass null.
   void AnswerGroup(const std::vector<Frame>& frames, std::vector<uint8_t>* out,
                    obs::QueryTracer* tracer = nullptr) SENN_EXCLUDES(mu_);
@@ -98,6 +111,7 @@ class QueryService {
   /// their own — every page fetch the engine performs happens inside this
   /// critical section, which is why senn_lint L9 need not look below rpc/.
   mutable std::mutex mu_;
+  core::SpatialServer* server_ SENN_PT_GUARDED_BY(mu_);
   core::BatchServer batch_ SENN_GUARDED_BY(mu_);
   ServiceStats stats_ SENN_GUARDED_BY(mu_);
 };

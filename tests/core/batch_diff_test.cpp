@@ -22,7 +22,6 @@
 
 #include "src/core/batch_server.h"
 #include "src/core/senn.h"
-#include "src/obs/trace.h"
 #include "tests/core/batch_test_util.h"
 
 #ifndef SENN_BATCH_TRIALS
@@ -172,8 +171,7 @@ TEST(BatchDiffTest, PreparePlusBatchDrainMatchesExecute) {
       ASSERT_EQ(batch.stats().batched_queries, 2u) << "trial " << trial;
       ExpectSameNeighbors(replies[0].neighbors, replies[1].neighbors, trial, 0,
                           "duplicated request");
-      obs::ScopedSpan untraced(nullptr, obs::Phase::kServerEinn);
-      processor.Finish(&pending, replies[0], untraced);
+      processor.Finish(&pending, replies[0]);
     }
     ASSERT_EQ(pending.outcome.resolution, sequential.resolution) << "trial " << trial;
     ExpectSameNeighbors(pending.outcome.neighbors, sequential.neighbors, trial, 0,

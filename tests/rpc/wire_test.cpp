@@ -198,6 +198,68 @@ TEST(WireTest, TruncatedPayloadIsRejected) {
   EXPECT_FALSE(DecodeKnnReply(frame.payload).ok());
 }
 
+RegionKnnRequest TwoCircleRegionRequest() {
+  RegionKnnRequest request;
+  request.q = {1, 2};
+  request.k = 3;
+  request.horizon = 40;
+  request.region = {geom::Circle({0, 0}, 5), geom::Circle({10, 0}, 6)};
+  return request;
+}
+
+TEST(WireTest, RegionAndRivalRequestsRejectEveryTruncation) {
+  std::vector<uint8_t> region_bytes;
+  EncodeRegionKnnRequest(1, TwoCircleRegionRequest(), &region_bytes);
+  const Frame region = DecodeOne(region_bytes);
+  ASSERT_TRUE(DecodeRegionKnnRequest(region.payload).ok());
+  for (size_t cut = 0; cut < region.payload.size(); ++cut) {
+    const std::vector<uint8_t> prefix(region.payload.begin(),
+                                      region.payload.begin() + static_cast<long>(cut));
+    EXPECT_FALSE(DecodeRegionKnnRequest(prefix).ok()) << "cut " << cut;
+  }
+
+  std::vector<uint8_t> rival_bytes;
+  EncodeRivalRequest(2, {{1, 2}, 30}, &rival_bytes);
+  const Frame rival = DecodeOne(rival_bytes);
+  ASSERT_TRUE(DecodeRivalRequest(rival.payload).ok());
+  for (size_t cut = 0; cut < rival.payload.size(); ++cut) {
+    const std::vector<uint8_t> prefix(rival.payload.begin(),
+                                      rival.payload.begin() + static_cast<long>(cut));
+    EXPECT_FALSE(DecodeRivalRequest(prefix).ok()) << "cut " << cut;
+  }
+}
+
+TEST(WireTest, RegionAndRivalRequestsRejectTrailingBytes) {
+  std::vector<uint8_t> bytes;
+  EncodeRegionKnnRequest(1, TwoCircleRegionRequest(), &bytes);
+  Frame region = DecodeOne(bytes);
+  region.payload.push_back(0xAB);  // one byte past the last circle
+  EXPECT_FALSE(DecodeRegionKnnRequest(region.payload).ok());
+  // A whole extra circle the count does not announce is trailing too.
+  region.payload.insert(region.payload.end(), 23, 0x00);
+  EXPECT_FALSE(DecodeRegionKnnRequest(region.payload).ok());
+
+  bytes.clear();
+  EncodeRivalRequest(2, {{1, 2}, 30}, &bytes);
+  Frame rival = DecodeOne(bytes);
+  rival.payload.push_back(0xAB);
+  EXPECT_FALSE(DecodeRivalRequest(rival.payload).ok());
+}
+
+TEST(WireTest, RegionCircleCountMustMatchThePayload) {
+  std::vector<uint8_t> bytes;
+  EncodeRegionKnnRequest(1, TwoCircleRegionRequest(), &bytes);
+  Frame frame = DecodeOne(bytes);
+  // The count sits after q (16 bytes), k (4) and the horizon (8).
+  frame.payload[28] = 3;
+  EXPECT_FALSE(DecodeRegionKnnRequest(frame.payload).ok());
+  frame.payload[28] = 1;
+  EXPECT_FALSE(DecodeRegionKnnRequest(frame.payload).ok());
+  frame.payload[28] = 0xFF;  // a corrupt count allocates nothing
+  frame.payload[31] = 0xFF;
+  EXPECT_FALSE(DecodeRegionKnnRequest(frame.payload).ok());
+}
+
 // --- the validation table (satellite: protocol-boundary input validation) --
 
 KnnRequest ValidRequest() {
@@ -262,6 +324,36 @@ TEST(ValidateKnnRequestTest, RejectsAlreadyCertifiedOutsideZeroToK) {
   EXPECT_EQ(ValidateKnnRequest(request).code(), Status::Code::kInvalidArgument);
   request.already_certified = request.k;  // == k is allowed
   EXPECT_TRUE(ValidateKnnRequest(request).ok());
+}
+
+TEST(ValidateRegionAndRivalRequestTest, AcceptsValidRequests) {
+  EXPECT_TRUE(ValidateRegionKnnRequest(TwoCircleRegionRequest()).ok());
+  RegionKnnRequest no_region = TwoCircleRegionRequest();
+  no_region.region.clear();
+  EXPECT_TRUE(ValidateRegionKnnRequest(no_region).ok());
+  EXPECT_TRUE(ValidateRivalRequest({{1, 2}, 0.0}).ok());
+}
+
+TEST(ValidateRegionAndRivalRequestTest, RejectsEachBadField) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  auto region_with = [](auto mutate) {
+    RegionKnnRequest request = TwoCircleRegionRequest();
+    mutate(&request);
+    return ValidateRegionKnnRequest(request).code();
+  };
+  const Status::Code bad = Status::Code::kInvalidArgument;
+  EXPECT_EQ(region_with([&](RegionKnnRequest* r) { r->q.x = nan; }), bad);
+  EXPECT_EQ(region_with([](RegionKnnRequest* r) { r->k = 0; }), bad);
+  EXPECT_EQ(region_with([](RegionKnnRequest* r) { r->k = kMaxKnnK + 1; }), bad);
+  EXPECT_EQ(region_with([&](RegionKnnRequest* r) { r->horizon = inf; }), bad);
+  EXPECT_EQ(region_with([](RegionKnnRequest* r) { r->horizon = -1.0; }), bad);
+  EXPECT_EQ(region_with([](RegionKnnRequest* r) { r->region[1].radius = -0.5; }), bad);
+  EXPECT_EQ(region_with([&](RegionKnnRequest* r) { r->region[0].radius = nan; }), bad);
+  EXPECT_EQ(region_with([&](RegionKnnRequest* r) { r->region[0].center.y = -inf; }), bad);
+  EXPECT_EQ(ValidateRivalRequest({{nan, 2}, 30}).code(), bad);
+  EXPECT_EQ(ValidateRivalRequest({{1, 2}, -30}).code(), bad);
+  EXPECT_EQ(ValidateRivalRequest({{1, 2}, inf}).code(), bad);
 }
 
 }  // namespace

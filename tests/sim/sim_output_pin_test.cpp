@@ -2,14 +2,17 @@
 // runs one simulation with both trace sinks attached and fingerprints
 // (FNV-1a-64) three documents: the full SimulationResultJson, the
 // QueryTrace CSV and the ChromeTraceWriter JSON. golden_json_test pins only
-// the historical field prefix of two ideal-channel runs, and the transport
-// and trace tests compare runs with each other, so a change that shifts a
-// lossy, paged or traced number the same way on every path would pass them;
-// it cannot pass these pins.
+// the historical field prefix of two ideal-channel runs, and the trace
+// tests compare runs with each other, so a change that shifts a lossy,
+// paged or traced number the same way on every path would pass them; it
+// cannot pass these pins. Every server contact crosses the wire
+// (rpc::LoopbackLink); the pins were recorded when the same runs still
+// called the server directly, and both paths produced them.
 //
 // Each configuration also asserts a nonzero count of the path it exists to
 // cover (server contacts, lost transmissions, pool misses, continuous
-// server steps), so a pin can never silently cover nothing.
+// server steps, region and rival requests answered over the wire), so a
+// pin can never silently cover nothing.
 //
 // The worlds are Table 4's at a 4x linear scale-down (253 POIs, 7,594
 // hosts), which gives server contacts of 2-6 pages. The paged ones hold
@@ -87,6 +90,7 @@ struct Pin {
 
 struct Outputs {
   SimulationResult result;
+  rpc::ServiceStats service;
   std::string result_json;
   std::string trace_csv;
   std::string chrome_json;
@@ -100,6 +104,7 @@ Outputs RunTraced(const SimulationConfig& cfg) {
   sim.AttachSpanSink(&chrome);
   Outputs out;
   out.result = sim.Run();
+  out.service = sim.service_stats();
   out.result_json = SimulationResultJson(out.result);
   std::ostringstream csv;
   EXPECT_TRUE(trace.WriteCsv(&csv).ok());
@@ -109,16 +114,15 @@ Outputs RunTraced(const SimulationConfig& cfg) {
 }
 
 void ExpectPinned(const char* name, const SimulationConfig& cfg, const Pin& pin,
-                  const std::function<void(const SimulationResult&)>& coverage) {
+                  const std::function<void(const Outputs&)>& coverage) {
   SCOPED_TRACE(name);
   Outputs out = RunTraced(cfg);
-  coverage(out.result);
+  coverage(out);
   EXPECT_EQ(Hex(Fnv1a64(out.result_json)), Hex(pin.result_json)) << "result JSON";
   EXPECT_EQ(Hex(Fnv1a64(out.trace_csv)), Hex(pin.trace_csv)) << "query trace CSV";
   EXPECT_EQ(Hex(Fnv1a64(out.chrome_json)), Hex(pin.chrome_json)) << "Chrome trace JSON";
 }
 
-// Both transports must produce the same bytes, so their runs share one pin.
 constexpr Pin kSequential{0x4b9f0c7c994ff976, 0x31dc3fb69527c1c3, 0x46bdbdbb97bae06f};
 constexpr Pin kLossyBoundedPool{0xf08ea5114c060439, 0x51250732da198b7c, 0xc5d0e54fb0bfbe74};
 constexpr Pin kBoundedPool{0xbfe557a026787b39, 0xf6359117955e5714, 0x7e3e5daed2c2eff3};
@@ -126,41 +130,30 @@ constexpr Pin kRandomizedK{0xe2d6d33ffba8eb6b, 0xdd89e8286beeed1d, 0x041f7c79830
 constexpr Pin kRoadOnEnqueue{0xa5bb0122afc7b420, 0x4545b04e93bf3263, 0x8c70f776359340c8};
 constexpr Pin kShipRegion{0x4b9f0c7c994ff976, 0x31dc3fb69527c1c3, 0x7360d7a58021e670};
 
-void HitsServer(const SimulationResult& r) { EXPECT_GT(r.by_server, 0u); }
-void LosesTransmissions(const SimulationResult& r) {
-  EXPECT_GT(r.by_server, 0u);
-  EXPECT_GT(r.transmissions_lost, 0u);
+void HitsServer(const Outputs& out) {
+  EXPECT_GT(out.result.by_server, 0u);
+  EXPECT_GT(out.service.knn, 0u);
+}
+void LosesTransmissions(const Outputs& out) {
+  HitsServer(out);
+  EXPECT_GT(out.result.transmissions_lost, 0u);
 }
 
-TEST(SimOutputPinTest, SequentialInProcess) {
-  ExpectPinned("sequential in process", Table4Scaled(), kSequential, HitsServer);
+TEST(SimOutputPinTest, Sequential) {
+  ExpectPinned("sequential", Table4Scaled(), kSequential, HitsServer);
 }
 
-TEST(SimOutputPinTest, SequentialLoopback) {
-  SimulationConfig cfg = Table4Scaled();
-  cfg.server_transport = ServerTransport::kLoopback;
-  ExpectPinned("sequential loopback", cfg, kSequential, HitsServer);
-}
-
+// Channel draws happen before the server contact.
 TEST(SimOutputPinTest, LossyChannelSequential) {
   ExpectPinned("lossy sequential", Lossy(Table4Scaled()),
                {0x91b044870050a8eb, 0x2dbb152c204cfb5e, 0x51aabaeb7d9dc63b}, LosesTransmissions);
 }
 
-// Channel draws happen before the server contact, so the transport must not
-// move them: the loopback run shares the in-process pin.
-TEST(SimOutputPinTest, LossyChannelSequentialLoopback) {
-  SimulationConfig cfg = Lossy(Table4Scaled());
-  cfg.server_transport = ServerTransport::kLoopback;
-  ExpectPinned("lossy sequential loopback", cfg,
-               {0x91b044870050a8eb, 0x2dbb152c204cfb5e, 0x51aabaeb7d9dc63b}, LosesTransmissions);
-}
-
 // A sequential contact through a bounded pool: pool misses accrue, and the
-// served pool must miss exactly where the in-process one does.
-void HitsServerAndMisses(const SimulationResult& r) {
-  HitsServer(r);
-  EXPECT_GT(r.buffer.misses(), 0u);
+// served pool must miss exactly where a direct call's would.
+void HitsServerAndMisses(const Outputs& out) {
+  HitsServer(out);
+  EXPECT_GT(out.result.buffer.misses(), 0u);
 }
 
 TEST(SimOutputPinTest, BoundedPoolSequential) {
@@ -168,16 +161,10 @@ TEST(SimOutputPinTest, BoundedPoolSequential) {
                HitsServerAndMisses);
 }
 
-TEST(SimOutputPinTest, BoundedPoolSequentialLoopback) {
-  SimulationConfig cfg = BoundedPool(Table4Scaled());
-  cfg.server_transport = ServerTransport::kLoopback;
-  ExpectPinned("16-page pool, sequential loopback", cfg, kBoundedPool, HitsServerAndMisses);
-}
-
-// The paged and lossy paths at once, on both transports against one pin.
-void LossesAndMisses(const SimulationResult& r) {
-  LosesTransmissions(r);
-  EXPECT_GT(r.buffer.misses(), 0u);
+// The paged and lossy paths at once.
+void LossesAndMisses(const Outputs& out) {
+  LosesTransmissions(out);
+  EXPECT_GT(out.result.buffer.misses(), 0u);
 }
 
 TEST(SimOutputPinTest, LossyBoundedPoolSequential) {
@@ -185,77 +172,50 @@ TEST(SimOutputPinTest, LossyBoundedPoolSequential) {
                kLossyBoundedPool, LossesAndMisses);
 }
 
-TEST(SimOutputPinTest, LossyBoundedPoolSequentialLoopback) {
-  SimulationConfig cfg = BoundedPool(Lossy(Table4Scaled()));
-  cfg.server_transport = ServerTransport::kLoopback;
-  ExpectPinned("lossy 16-page pool, sequential loopback", cfg, kLossyBoundedPool,
-               LossesAndMisses);
-}
-
-SimulationConfig RandomizedK(ServerTransport transport) {
+// Per-query k rides the request frame.
+TEST(SimOutputPinTest, RandomizedK) {
   SimulationConfig cfg = Table4Scaled();
   cfg.randomize_k = true;
-  cfg.server_transport = transport;
-  return cfg;
-}
-
-TEST(SimOutputPinTest, RandomizedK) {
-  ExpectPinned("randomize_k", RandomizedK(ServerTransport::kInProcess), kRandomizedK, HitsServer);
-}
-
-// Per-query k rides the request frame.
-TEST(SimOutputPinTest, RandomizedKLoopback) {
-  ExpectPinned("randomize_k loopback", RandomizedK(ServerTransport::kLoopback), kRandomizedK,
-               HitsServer);
-}
-
-SimulationConfig RoadOnEnqueue(ServerTransport transport) {
-  SimulationConfig cfg = Table4Scaled(60.0);
-  cfg.mode = MovementMode::kRoadNetwork;
-  cfg.page_count_mode = rtree::AccessCountMode::kOnEnqueue;
-  cfg.server_transport = transport;
-  return cfg;
-}
-
-TEST(SimOutputPinTest, RoadNetworkOnEnqueue) {
-  ExpectPinned("road, on-enqueue pages", RoadOnEnqueue(ServerTransport::kInProcess),
-               kRoadOnEnqueue, HitsServer);
+  ExpectPinned("randomize_k", cfg, kRandomizedK, HitsServer);
 }
 
 // The on-enqueue page counts ride the reply frame.
-TEST(SimOutputPinTest, RoadNetworkOnEnqueueLoopback) {
-  ExpectPinned("road, on-enqueue pages, loopback", RoadOnEnqueue(ServerTransport::kLoopback),
-               kRoadOnEnqueue, HitsServer);
+TEST(SimOutputPinTest, RoadNetworkOnEnqueue) {
+  SimulationConfig cfg = Table4Scaled(60.0);
+  cfg.mode = MovementMode::kRoadNetwork;
+  cfg.page_count_mode = rtree::AccessCountMode::kOnEnqueue;
+  ExpectPinned("road, on-enqueue pages", cfg, kRoadOnEnqueue, HitsServer);
 }
 
-SimulationConfig ShipRegion(ServerTransport transport) {
+// Region contacts ride kRegionKnnRequest frames; the scalar fallback, taken
+// while the heap has no upper bound, rides kKnnRequest frames.
+TEST(SimOutputPinTest, ShipRegion) {
   SimulationConfig cfg = Table4Scaled();
   cfg.senn.ship_region = true;
-  cfg.server_transport = transport;
-  return cfg;
-}
-
-TEST(SimOutputPinTest, ShipRegion) {
-  ExpectPinned("ship_region", ShipRegion(ServerTransport::kInProcess), kShipRegion, HitsServer);
-}
-
-// Region contacts go to the server directly (the wire has no region frame);
-// the scalar fallback, taken while the heap has no upper bound, goes over the
-// wire. The mix must not depend on the transport.
-TEST(SimOutputPinTest, ShipRegionLoopback) {
-  ExpectPinned("ship_region loopback", ShipRegion(ServerTransport::kLoopback), kShipRegion,
-               HitsServer);
+  ExpectPinned("ship_region", cfg, kShipRegion, [](const Outputs& out) {
+    HitsServer(out);
+    EXPECT_GT(out.service.region, 0u);
+  });
 }
 
 // Continuous steps are not traced, so only the result JSON is pinned; a
-// smaller world keeps the per-host INSQ priming cheap.
+// smaller world keeps the per-host INSQ priming cheap. The INSQ rival
+// fetches ride kRivalRequest frames.
+void ExpectContinuousPinned(const SimulationConfig& cfg, uint64_t result_json,
+                            const std::function<void(const SimulationResult&)>& coverage) {
+  Simulator sim(cfg);
+  SimulationResult r = sim.Run();
+  EXPECT_GT(r.continuous_server_steps, 0u);
+  EXPECT_GT(sim.service_stats().rival, 0u);
+  coverage(r);
+  EXPECT_EQ(Hex(Fnv1a64(SimulationResultJson(r))), Hex(result_json)) << "result JSON";
+}
+
 TEST(SimOutputPinTest, ContinuousInsq) {
   SimulationConfig cfg = Table4Scaled(120.0, 6.0);
   cfg.continuous = true;
   cfg.safe_region = core::SafeRegionMode::kInsq;
-  SimulationResult r = Simulator(cfg).Run();
-  EXPECT_GT(r.continuous_server_steps, 0u);
-  EXPECT_EQ(Hex(Fnv1a64(SimulationResultJson(r))), Hex(0x49c8066665f85eb3)) << "result JSON";
+  ExpectContinuousPinned(cfg, 0x49c8066665f85eb3, [](const SimulationResult&) {});
 }
 
 // Continuous steps share the snapshot path's channel accounting; a lossy
@@ -264,10 +224,9 @@ TEST(SimOutputPinTest, ContinuousInsqLossy) {
   SimulationConfig cfg = Lossy(Table4Scaled(120.0, 6.0));
   cfg.continuous = true;
   cfg.safe_region = core::SafeRegionMode::kInsq;
-  SimulationResult r = Simulator(cfg).Run();
-  EXPECT_GT(r.continuous_server_steps, 0u);
-  EXPECT_GT(r.transmissions_lost, 0u);
-  EXPECT_EQ(Hex(Fnv1a64(SimulationResultJson(r))), Hex(0xdc0e258a44a30299)) << "result JSON";
+  ExpectContinuousPinned(cfg, 0xdc0e258a44a30299, [](const SimulationResult& r) {
+    EXPECT_GT(r.transmissions_lost, 0u);
+  });
 }
 
 // Continuous steps share the snapshot path's server-page accounting; a
@@ -277,10 +236,9 @@ TEST(SimOutputPinTest, ContinuousInsqBoundedPool) {
   SimulationConfig cfg = BoundedPool(Table4Scaled(120.0, 6.0));
   cfg.continuous = true;
   cfg.safe_region = core::SafeRegionMode::kInsq;
-  SimulationResult r = Simulator(cfg).Run();
-  EXPECT_GT(r.continuous_server_steps, 0u);
-  EXPECT_GT(r.buffer.misses(), 0u);
-  EXPECT_EQ(Hex(Fnv1a64(SimulationResultJson(r))), Hex(0xba42ba9132cde03d)) << "result JSON";
+  ExpectContinuousPinned(cfg, 0xba42ba9132cde03d, [](const SimulationResult& r) {
+    EXPECT_GT(r.buffer.misses(), 0u);
+  });
 }
 
 }  // namespace
