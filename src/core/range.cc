@@ -25,10 +25,10 @@ RangeProcessor::RangeProcessor(SpatialServer* server, RangeOptions options)
 std::vector<RankedPoi> PrunedCircleQuery(const rtree::PackedTree& tree, geom::Vec2 q,
                                          double radius, double inner,
                                          rtree::AccessCounter* counter,
-                                         rtree::NodePageHook* hook) {
+                                         rtree::NodePageHook* hook, size_t max_results) {
   std::vector<RankedPoi> out;
   std::vector<rtree::NodeId> stack{rtree::PackedTree::root()};
-  while (!stack.empty()) {
+  while (!stack.empty() && out.size() < max_results) {
     const rtree::NodeId id = stack.back();
     stack.pop_back();
     const bool pinned = rtree::ChargeNodeAccess(tree, id, counter, hook);
@@ -39,7 +39,10 @@ std::vector<RankedPoi> PrunedCircleQuery(const rtree::PackedTree& tree, geom::Ve
         // The inner exclusion is strict (POIs exactly at the certain radius
         // are the client's own boundary neighbors), but an inner of 0 means
         // "nothing known" and must not drop a POI at the query point itself.
-        if (d <= radius && (inner <= 0.0 || d > inner)) out.push_back({o.id, o.position, d});
+        if (d <= radius && (inner <= 0.0 || d > inner)) {
+          out.push_back({o.id, o.position, d});
+          if (out.size() == max_results) break;
+        }
       }
     } else {
       for (const rtree::PackedTree::Branch& b : tree.branches(node)) {

@@ -15,6 +15,8 @@
 // bound) and the client merges its locally-known prefix.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "src/core/server.h"
@@ -77,10 +79,12 @@ class RangeProcessor {
 /// radius). Exposed for tests and the server facade. When `hook` is set the
 /// scan fetches each visited node through the storage engine (pinning the
 /// page for the duration of the entry scan), and the counter additionally
-/// records physical misses.
+/// records physical misses. The scan stops once `max_results` POIs are
+/// found; the result then holds the first `max_results` in tree-walk order.
 std::vector<RankedPoi> PrunedCircleQuery(const rtree::PackedTree& tree, geom::Vec2 q,
                                          double radius, double inner,
                                          rtree::AccessCounter* counter = nullptr,
-                                         rtree::NodePageHook* hook = nullptr);
+                                         rtree::NodePageHook* hook = nullptr,
+                                         size_t max_results = SIZE_MAX);
 
 }  // namespace senn::core

@@ -35,7 +35,7 @@ double ConvexPieceRegion::Area() const {
 }
 
 bool MbrCoveredByDiskUnion(const Mbr& box, const std::vector<Circle>& cover,
-                           const PolygonizeOptions& options) {
+                           const PolygonizeOptions& options, uint64_t* work_budget) {
   if (box.IsEmpty()) return true;
   if (cover.empty()) return false;
   // Quick single-disk win: a disk covers the box iff it contains the
@@ -47,6 +47,16 @@ bool MbrCoveredByDiskUnion(const Mbr& box, const std::vector<Circle>& cover,
       {{box.lo.x, box.lo.y}, {box.hi.x, box.lo.y}, {box.hi.x, box.hi.y}, {box.lo.x, box.hi.y}}));
   for (const Circle& c : cover) {
     if (c.radius <= 0.0) continue;
+    if (work_budget != nullptr) {
+      uint64_t cost = 0;
+      for (const ConvexPolygon& piece : remainder.pieces()) cost += piece.vertices().size();
+      cost *= static_cast<uint64_t>(options.sides);
+      if (cost > *work_budget) {
+        *work_budget = 0;
+        return false;
+      }
+      *work_budget -= cost;
+    }
     remainder.SubtractConvex(ConvexPolygon::InscribedInCircle(c, options.sides),
                              options.min_area);
     if (remainder.IsEmpty()) return true;

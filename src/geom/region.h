@@ -12,6 +12,7 @@
 // the algorithm needs ("is the union covering?") rather than a full map.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "src/geom/circle.h"
@@ -71,7 +72,15 @@ bool PolygonizedDiskCoveredByUnion(const Circle& subject, const std::vector<Circ
 /// exact; a `false` may be a false negative. Used by the region-aware server
 /// pruning extension: an MBR covered by the clients' certain region R_c
 /// contains only POIs the client already knows.
+///
+/// The polygon work grows steeply with the number of disks cutting the box
+/// (each disk can split every remaining piece). `work_budget`, when given,
+/// caps it: subtracting one disk costs the remainder's vertex count times
+/// `options.sides`, taken from the budget; a test that would overdraw it
+/// answers false (the conservative verdict) and empties the budget, so
+/// every later test sharing it answers false at once.
 bool MbrCoveredByDiskUnion(const Mbr& box, const std::vector<Circle>& cover,
-                           const PolygonizeOptions& options = {});
+                           const PolygonizeOptions& options = {},
+                           uint64_t* work_budget = nullptr);
 
 }  // namespace senn::geom

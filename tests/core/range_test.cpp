@@ -88,6 +88,38 @@ TEST(PrunedCircleQueryTest, InnerDiskExcludedExactly) {
   }
 }
 
+TEST(PrunedCircleQueryTest, ResultCapStopsTheScan) {
+  Rng rng(4);
+  std::vector<Poi> pois = RandomPois(3000, &rng, 1000);
+  SpatialServer server(pois);
+  for (int trial = 0; trial < 20; ++trial) {
+    SCOPED_TRACE(trial);
+    const Vec2 q{rng.Uniform(0, 1000), rng.Uniform(0, 1000)};
+    const double r = rng.Uniform(100, 400);
+    rtree::AccessCounter full_pages;
+    const std::vector<RankedPoi> full =
+        PrunedCircleQuery(server.tree(), q, r, 0.0, &full_pages);
+    ASSERT_GT(full.size(), 20u);
+    // A cap the range does not reach changes nothing, pages included (the
+    // service's cap of kMaxKnnK + 1 leaves every answerable fetch whole).
+    rtree::AccessCounter loose_pages;
+    EXPECT_EQ(
+        PrunedCircleQuery(server.tree(), q, r, 0.0, &loose_pages, nullptr, full.size() + 1),
+        full);
+    EXPECT_EQ(loose_pages, full_pages);
+    // A cap it passes stops the walk: that many POIs of the range, read
+    // from fewer pages.
+    rtree::AccessCounter capped_pages;
+    const std::vector<RankedPoi> capped =
+        PrunedCircleQuery(server.tree(), q, r, 0.0, &capped_pages, nullptr, 5);
+    ASSERT_EQ(capped.size(), 5u);
+    for (const RankedPoi& p : capped) {
+      EXPECT_TRUE(std::find(full.begin(), full.end(), p) != full.end());
+    }
+    EXPECT_LT(capped_pages.total(), full_pages.total());
+  }
+}
+
 TEST(PrunedCircleQueryTest, InnerPruningSavesPages) {
   Rng rng(3);
   std::vector<Poi> pois = RandomPois(5000, &rng, 1000);

@@ -43,6 +43,37 @@ TEST(MbrCoverTest, EmptyBoxAndEmptyCover) {
   EXPECT_FALSE(geom::MbrCoveredByDiskUnion(Mbr{{0, 0}, {1, 1}}, {}));
 }
 
+TEST(MbrCoverTest, WorkBudgetCapsThePolygonWork) {
+  // Both halves are needed, so the verdict takes polygon work; a budget
+  // that affords it changes nothing and is drawn down.
+  const Mbr box{{0, 0}, {4, 2}};
+  const std::vector<Circle> halves{Circle({1, 1}, 2.4), Circle({3, 1}, 2.4)};
+  const uint64_t plenty = 1u << 20;
+  uint64_t budget = plenty;
+  EXPECT_TRUE(geom::MbrCoveredByDiskUnion(box, halves, {}, &budget));
+  const uint64_t spent = plenty - budget;
+  EXPECT_GT(spent, 0u);
+
+  // One unit short: the conservative "not covered", and the budget is gone,
+  // so the next test sharing it answers at once.
+  budget = spent - 1;
+  EXPECT_FALSE(geom::MbrCoveredByDiskUnion(box, halves, {}, &budget));
+  EXPECT_EQ(budget, 0u);
+  EXPECT_FALSE(geom::MbrCoveredByDiskUnion(box, halves, {}, &budget));
+  // The exact single-disk check costs nothing and still answers.
+  EXPECT_TRUE(geom::MbrCoveredByDiskUnion(box, {Circle({2, 1}, 2.3)}, {}, &budget));
+
+  // Disjoint disks inside the box split its remainder piece after piece:
+  // the work grows steeply with their number, and the budget stops it.
+  std::vector<Circle> grid;
+  for (int i = 0; i < kMaxRegionDisks; ++i) {
+    grid.emplace_back(Vec2{0.25 + 0.5 * (i % 8), 0.125 + 0.25 * (i / 8)}, 0.05);
+  }
+  budget = plenty;
+  EXPECT_FALSE(geom::MbrCoveredByDiskUnion(box, grid, {}, &budget));
+  EXPECT_EQ(budget, 0u);
+}
+
 TEST(MbrCoverTest, ConservativeNeverFalselyCovers) {
   // Sampling oracle: if any sample point in the box is uncovered, the test
   // must not report covered.

@@ -89,5 +89,55 @@ TEST(ContinuousSimTest, MergeSumsContinuousMetrics) {
             a.continuous_region_area_m2.count() + b.continuous_region_area_m2.count());
 }
 
+TEST(ContinuousSimTest, ServerLimitsBoundRequestsAndTheRivalTable) {
+  // Every reply must fit one frame (rpc::kMaxKnnK POIs). A contact asks for
+  // the cache size or a larger k; an INSQ rival fetch may return the whole
+  // POI table, so an INSQ run caps the table, not the cache.
+  SimulationConfig cfg = ContinuousConfig(core::SafeRegionMode::kInsq, 1);
+  cfg.params.cache_size = rpc::kMaxKnnK;
+  EXPECT_TRUE(ValidateServerLimits(cfg).ok());
+  cfg.params.cache_size = rpc::kMaxKnnK + 1;
+  EXPECT_EQ(ValidateServerLimits(cfg).code(), Status::Code::kInvalidArgument);
+  cfg.params.cache_size = 10;
+  cfg.params.k_nn = rpc::kMaxKnnK + 1;
+  EXPECT_FALSE(ValidateServerLimits(cfg).ok());
+  cfg.params.k_nn = 3;
+  cfg.continuous = false;
+  cfg.randomize_k = true;
+  cfg.k_max = rpc::kMaxKnnK + 1;
+  EXPECT_FALSE(ValidateServerLimits(cfg).ok());
+  cfg.k_max = rpc::kMaxKnnK;
+  EXPECT_TRUE(ValidateServerLimits(cfg).ok());
+
+  cfg = ContinuousConfig(core::SafeRegionMode::kInsq, 1);
+  cfg.params.poi_number = rpc::kMaxKnnK;
+  EXPECT_TRUE(ValidateServerLimits(cfg).ok());
+  cfg.params.poi_number = rpc::kMaxKnnK + 1;
+  EXPECT_FALSE(ValidateServerLimits(cfg).ok());
+  cfg.safe_region = core::SafeRegionMode::kDisk;
+  EXPECT_TRUE(ValidateServerLimits(cfg).ok());
+  // Every Table 3 and Table 4 world passes at its own cache size.
+  for (Region region : {Region::kLosAngeles, Region::kSyntheticSuburbia, Region::kRiverside}) {
+    for (const ParameterSet& p : {Table3(region), Table4(region)}) {
+      cfg.params = p;
+      cfg.safe_region = core::SafeRegionMode::kInsq;
+      EXPECT_TRUE(ValidateServerLimits(cfg).ok()) << p.name;
+    }
+  }
+}
+
+TEST(ContinuousSimTest, InsqWithACacheLargerThanTheTableRuns) {
+  // Rival fetches over the whole table and contacts asking for far more
+  // POIs than exist stay within one frame: the run completes over the wire.
+  SimulationConfig cfg = ContinuousConfig(core::SafeRegionMode::kInsq, 2);
+  cfg.params.cache_size = 5000;
+  ASSERT_TRUE(ValidateServerLimits(cfg).ok());
+  Simulator sim(cfg);
+  SimulationResult r = sim.Run();
+  EXPECT_GT(r.continuous_steps, 0u);
+  EXPECT_GT(sim.service_stats().knn, 0u);
+  EXPECT_GT(sim.service_stats().rival, 0u);
+}
+
 }  // namespace
 }  // namespace senn::sim
