@@ -60,14 +60,15 @@ std::vector<std::vector<size_t>> BatchServer::FormClusters(
   // exactly on a boundary belongs to the higher tile. One sort by
   // (x-tile, y-tile, content, input index) lays the tiles out in tile order,
   // each tile's members in canonical order; chunking every tile's run by
-  // max_group then yields the clusters.
+  // max_group then yields the clusters. A tile index stays the floor's
+  // double: any finite request is valid, and p / cell past the int64_t range
+  // (or infinite, for a cell under 1 m) would make an integer cast undefined.
   const double cell = options_.cluster_cell_m;
-  std::vector<std::pair<int64_t, int64_t>> tile(queries.size());
+  std::vector<std::pair<double, double>> tile(queries.size());
   std::vector<size_t> order(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     const geom::Vec2 p = queries[i].q;
-    tile[i] = {static_cast<int64_t>(std::floor(p.x / cell)),
-               static_cast<int64_t>(std::floor(p.y / cell))};
+    tile[i] = {std::floor(p.x / cell), std::floor(p.y / cell)};
     order[i] = i;
   }
   std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {

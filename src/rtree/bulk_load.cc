@@ -21,11 +21,12 @@ struct Run {
 geom::Vec2 CenterOf(const ObjectEntry& o) { return geom::Mbr::OfPoint(o.position).Center(); }
 geom::Vec2 CenterOf(const Branch& b) { return b.mbr.Center(); }
 
-// The sort's chunk length, which is also its merge buffer's length: 32K
-// items, 768 KiB of ObjectEntry. A level of n items sorts with this much
-// scratch (plus std::stable_sort's half-chunk inside one chunk) instead of
-// the n/2 items std::stable_sort of the whole level would take.
-constexpr size_t kSortChunk = size_t{1} << 15;
+using detail::kSortChunk;
+
+// A bucket of the distribution sort holding more items than this is
+// stable-sorted by std::stable_sort instead of by insertion: its keys are
+// clustered, and insertion would take quadratic time.
+constexpr size_t kMaxInsertionBucket = 32;
 
 // Stably merges the sorted runs [first, middle) and [middle, last) through
 // `buffer`. A run that fits the buffer is moved there and merged back in
@@ -72,28 +73,103 @@ void MergeRuns(Item* first, Item* middle, Item* last, std::span<Item> buffer, Le
   }
 }
 
-// std::stable_sort of `items` with bounded scratch: chunks of kSortChunk
-// are stable-sorted, then merged bottom-up, neighbors in order, through one
-// chunk-sized buffer. A stable sort's result is unique (ties in input
-// order; -0.0 and +0.0 tie under "<"), so this is exactly the order
-// std::stable_sort gives.
-template <typename Item, typename Less>
-void BoundedStableSort(std::span<Item> items, Less less) {
-  const size_t n = items.size();
-  for (size_t begin = 0; begin < n; begin += kSortChunk) {
-    std::stable_sort(items.begin() + static_cast<long>(begin),
-                     items.begin() + static_cast<long>(std::min(begin + kSortChunk, n)), less);
-  }
-  if (n <= kSortChunk) return;
-  std::vector<Item> buffer(kSortChunk);
-  Item* const base = items.data();
-  for (size_t width = kSortChunk; width < n; width *= 2) {
-    for (size_t begin = 0; begin + width < n; begin += 2 * width) {
-      MergeRuns(base + begin, base + begin + width, base + std::min(begin + 2 * width, n),
-                std::span<Item>(buffer), less);
+// std::stable_sort by one coordinate of the items' MBR centers, with scratch
+// bounded by one chunk: chunks of kSortChunk items are bucket-sorted through
+// one chunk-sized buffer, then merged bottom-up, neighbors in order, through
+// that same buffer. A stable sort's result is unique (ties in input order;
+// -0.0 and +0.0 tie under "<"), so this is exactly the order std::stable_sort
+// gives. One sorter serves a whole level: the x sort and every slab's y sort.
+template <typename Item>
+class BoundedStableSorter {
+ public:
+  // Scratch for sorting spans of up to `n` items.
+  explicit BoundedStableSorter(size_t n)
+      : buffer_(std::min(n, kSortChunk)), bucket_ends_(buffer_.size() + 1) {}
+
+  // Sorts by CenterOf(item).*axis, &geom::Vec2::x or &geom::Vec2::y.
+  void Sort(std::span<Item> items, double geom::Vec2::*axis) {
+    const auto key = [axis](const Item& item) { return CenterOf(item).*axis; };
+    const auto less = [&key](const Item& a, const Item& b) { return key(a) < key(b); };
+    const size_t n = items.size();
+    for (size_t begin = 0; begin < n; begin += kSortChunk) {
+      SortChunk(items.subspan(begin, std::min(kSortChunk, n - begin)), key, less);
+    }
+    Item* const base = items.data();
+    for (size_t width = kSortChunk; width < n; width *= 2) {
+      for (size_t begin = 0; begin + width < n; begin += 2 * width) {
+        MergeRuns(base + begin, base + begin + width, base + std::min(begin + 2 * width, n),
+                  std::span<Item>(buffer_), less);
+      }
     }
   }
-}
+
+ private:
+  // Distributes the chunk's n items into n buckets by
+  // (key - lo) * (n / (hi - lo)), then stable-sorts each bucket on its way
+  // back. IEEE subtraction of a constant and multiplication by a positive
+  // constant are monotone, so a lower bucket's keys are never greater, and
+  // keys that tie under "<" (the two zeros too) share a bucket: bucket
+  // order plus stable order within buckets is std::stable_sort's order.
+  // A NaN key, or a range or scale that is not finite (infinite keys, keys
+  // spanning more than DBL_MAX, a range so small that n / range overflows,
+  // or every key tied), leaves no such map; such a chunk is
+  // std::stable_sort'ed whole.
+  template <typename Key, typename Less>
+  void SortChunk(std::span<Item> chunk, Key key, Less less) {
+    const size_t n = chunk.size();
+    if (n < 2) return;
+    double lo = key(chunk[0]);
+    double hi = lo;
+    bool has_nan = false;
+    for (const Item& item : chunk) {
+      const double k = key(item);
+      has_nan |= std::isnan(k);
+      lo = std::min(lo, k);
+      hi = std::max(hi, k);
+    }
+    const double range = hi - lo;
+    const double scale = static_cast<double>(n) / range;
+    if (has_nan || !std::isfinite(range) || !std::isfinite(scale)) {
+      std::stable_sort(chunk.begin(), chunk.end(), less);
+      return;
+    }
+    // The largest key maps to about n; clamping in double keeps the cast
+    // in range.
+    const double top = static_cast<double>(n - 1);
+    const auto bucket = [&](const Item& item) {
+      return static_cast<size_t>(std::min((key(item) - lo) * scale, top));
+    };
+
+    // ends[b + 1] counts bucket b; the prefix sums turn ends[b] into bucket
+    // b's first slot, and scattering advances it to bucket b's end.
+    std::span<uint32_t> ends(bucket_ends_.data(), n + 1);
+    std::fill(ends.begin(), ends.end(), 0);
+    for (const Item& item : chunk) ++ends[bucket(item) + 1];
+    for (size_t b = 1; b < n; ++b) ends[b] += ends[b - 1];
+    for (Item& item : chunk) buffer_[ends[bucket(item)]++] = std::move(item);
+
+    Item* const in = buffer_.data();
+    Item* const out = chunk.data();
+    size_t begin = 0;
+    for (size_t b = 0; b < n; ++b) {
+      const size_t end = ends[b];
+      if (end - begin > kMaxInsertionBucket) {
+        std::move(in + begin, in + end, out + begin);
+        std::stable_sort(out + begin, out + end, less);
+      } else {
+        for (size_t i = begin; i < end; ++i) {
+          size_t j = i;
+          for (; j > begin && less(in[i], out[j - 1]); --j) out[j] = std::move(out[j - 1]);
+          out[j] = std::move(in[i]);
+        }
+      }
+      begin = end;
+    }
+  }
+
+  std::vector<Item> buffer_;
+  std::vector<uint32_t> bucket_ends_;
+};
 
 // Splits `count` items into groups of at most `cap`, rebalancing the tail so
 // every group has at least `min_size` (requires cap >= 2 * min_size, which
@@ -133,9 +209,8 @@ std::vector<Run> PackLevel(std::vector<Item>& items, const RStarTree::Options& o
   // the leaf level, child packing order above), so the packing is a pure
   // function of the input sequence even for duplicate coordinates (lattice
   // worlds).
-  BoundedStableSort(std::span<Item>(items), [](const Item& a, const Item& b) {
-    return CenterOf(a).x < CenterOf(b).x;
-  });
+  BoundedStableSorter<Item> sorter(n);
+  sorter.Sort(std::span<Item>(items), &geom::Vec2::x);
 
   std::vector<Run> runs;
   runs.reserve(node_count);
@@ -144,8 +219,7 @@ std::vector<Run> PackLevel(std::vector<Item>& items, const RStarTree::Options& o
     size_t end = std::min(begin + slice_size, n);
     // Absorb a tail slice too small to form a legal node.
     if (n - end > 0 && n - end < min_size) end = n;
-    BoundedStableSort(std::span<Item>(items).subspan(begin, end - begin),
-                      [](const Item& a, const Item& b) { return CenterOf(a).y < CenterOf(b).y; });
+    sorter.Sort(std::span<Item>(items).subspan(begin, end - begin), &geom::Vec2::y);
     size_t cursor = begin;
     for (size_t take : GroupSizes(end - begin, cap, min_size)) {
       runs.push_back({static_cast<uint32_t>(cursor), static_cast<uint32_t>(take)});
@@ -162,6 +236,10 @@ std::span<const Item> Items(const std::vector<Item>& items, Run run) {
 }
 
 }  // namespace
+
+void detail::StableSortByCenter(std::span<ObjectEntry> items, double geom::Vec2::*axis) {
+  BoundedStableSorter<ObjectEntry>(items.size()).Sort(items, axis);
+}
 
 PackedTree BulkLoadPacked(std::vector<ObjectEntry> objects, RStarTree::Options options) {
   PackedTree tree;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
 #include <numeric>
 #include <string>
@@ -147,6 +148,39 @@ TEST(BatchClusterTest, TileBoundaryStraddlingAndNegativeCoordinates) {
     ExpectSameNeighbors(replies[i].neighbors,
                         w.server->QueryKnn(queries[i].q, queries[i].k).neighbors,
                         3, i, "straddle");
+  }
+}
+
+// Any finite query point is a valid request, also one whose tile index
+// p / cell lies far outside the int64_t range. Such points keep distinct
+// tiles by sign and magnitude (an integer cast of the tile used to be
+// undefined there and folded +1e300 and -1e300 into one cluster), and
+// their answers equal the sequential ones.
+TEST(BatchClusterTest, ExtremeCoordinatesNeverShareACluster) {
+  BatchWorld w = BuildBatchWorld(6, WorldOptions{});
+  BatchOptions options;
+  options.max_group = 16;
+  BatchServer batch(w.server.get(), options);
+  const std::vector<double> extremes = {1e300, -1e300, DBL_MAX, -DBL_MAX};
+  std::vector<BatchQuery> queries;
+  for (double x : extremes) {
+    for (double y : {0.0, x}) {
+      BatchQuery bq;
+      bq.q = {x, y};
+      bq.k = 3;
+      queries.push_back(bq);
+    }
+  }
+  const std::vector<std::vector<size_t>> clusters = batch.FormClusters(queries);
+  ASSERT_EQ(clusters.size(), queries.size());
+  for (const std::vector<size_t>& cluster : clusters) EXPECT_EQ(cluster.size(), 1u);
+
+  const std::vector<ServerReply> replies = batch.AnswerBatch(queries);
+  ASSERT_EQ(replies.size(), queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    ExpectSameNeighbors(replies[i].neighbors,
+                        w.server->QueryKnn(queries[i].q, queries[i].k).neighbors, 6, i,
+                        "extreme coordinates");
   }
 }
 

@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <cfloat>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <set>
 #include <span>
 #include <unordered_map>
@@ -299,6 +302,29 @@ std::vector<ObjectEntry> SignedZeroObjects(int n = 3000) {
   return objs;
 }
 
+// Two tight clusters a million meters apart, members interleaved so that
+// every sort chunk holds both: nearly all keys of a chunk share a handful of
+// narrow key ranges.
+std::vector<ObjectEntry> TwoClusterObjects(int n = 100000) {
+  Rng rng(35);
+  std::vector<ObjectEntry> objs;
+  for (int i = 0; i < n; ++i) {
+    const double c = (rng.UniformInt(0, 1) == 0) ? -1e6 : 1e6;
+    objs.push_back({{c + rng.Uniform(-1, 1), c + rng.Uniform(-1, 1)}, i});
+  }
+  return objs;
+}
+
+// Coordinates spread over [-1e300, 1e300) on both axes.
+std::vector<ObjectEntry> HugeSpreadObjects(int n = 40000) {
+  Rng rng(36);
+  std::vector<ObjectEntry> objs;
+  for (int i = 0; i < n; ++i) {
+    objs.push_back({{rng.Uniform(-1e300, 1e300), rng.Uniform(-1e300, 1e300)}, i});
+  }
+  return objs;
+}
+
 // Pins the exact packed shape: a change to the STR packer that is meant to
 // be a pure speed or memory change must keep every one of these. The
 // packer sorts in chunks of 32K items merged through a buffer of the same
@@ -336,12 +362,90 @@ TEST(BulkLoadTest, PackedShapeMatchesRecordedFingerprints) {
   cases.push_back({"signed_zero_120000", SignedZeroObjects(120000), {}, 8740691950388844627ULL});
   cases.push_back({"uniform_150001", uniform(150001), {}, 878890877589774689ULL});
   cases.push_back({"fanout_8_3_300000", uniform(300000), small, 3991163214095599957ULL});
+  cases.push_back({"two_clusters_100000", TwoClusterObjects(), {}, 15780106590982110189ULL});
+  cases.push_back({"spread_1e300", HugeSpreadObjects(), {}, 9955339408433108345ULL});
   for (Case& c : cases) {
     const size_t n = c.objects.size();
     const PackedTree packed = BulkLoadPacked(c.objects, c.options);
     EXPECT_EQ(packed.size(), n) << c.name;
     EXPECT_TRUE(packed.CheckInvariants().ok()) << c.name;
     EXPECT_EQ(ShapeFingerprint(packed), c.fingerprint) << c.name;
+  }
+}
+
+// The packer's sort against std::stable_sort under the packer's own
+// comparator ("<" on the MBR center's coordinate, which for a point is
+// (x + x) * 0.5): the same ids in the same order, and bit-identical
+// coordinates, so the two zeros keep their input order too. Each family
+// draws both coordinates, and both axes are sorted, at sizes that take no
+// chunk, one short or full chunk, and several chunks merged.
+TEST(BulkLoadTest, StableSortByCenterMatchesStdStableSort) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  struct Family {
+    const char* name;
+    std::function<double(Rng&)> coordinate;
+  };
+  const std::vector<Family> families = {
+      {"uniform", [](Rng& rng) { return rng.Uniform(0, 1000); }},
+      // 64 distinct values: every value tied hundreds of times per chunk.
+      {"lattice", [](Rng& rng) { return 25.0 * static_cast<double>(rng.UniformInt(0, 63)); }},
+      {"signed_zeros",
+       [](Rng& rng) {
+         const int64_t pick = rng.UniformInt(0, 3);
+         return pick == 0 ? 0.0 : pick == 1 ? -0.0 : rng.Uniform(-1, 1);
+       }},
+      // Two clusters of width 1 two million apart: nearly every key of a
+      // chunk falls into one of two buckets, both past the insertion limit.
+      {"two_clusters",
+       [](Rng& rng) { return (rng.UniformInt(0, 1) == 0 ? -1e6 : 1e6) + rng.Uniform(0, 1); }},
+      // Past DBL_MAX / 2 the key (x + x) * 0.5 overflows to +-inf, so the
+      // key range is not finite.
+      {"near_max", [](Rng& rng) { return rng.Uniform(-1e308, 1e308); }},
+      // Finite keys whose range is close to DBL_MAX.
+      {"near_half_max", [](Rng& rng) { return rng.Uniform(-DBL_MAX / 2, DBL_MAX / 2); }},
+      {"infinities",
+       [kInf](Rng& rng) {
+         const int64_t pick = rng.UniformInt(0, 3);
+         return pick == 0 ? kInf : pick == 1 ? -kInf : rng.Uniform(-10, 10);
+       }},
+      // A range of a few subnormals: n / range is not finite.
+      {"subnormal_range",
+       [](Rng& rng) {
+         return static_cast<double>(rng.UniformInt(0, 3)) *
+                std::numeric_limits<double>::denorm_min();
+       }},
+  };
+  const size_t chunk = detail::kSortChunk;
+  const std::vector<size_t> sizes = {0, 1, 2, chunk - 1, chunk, chunk + 1, 3 * chunk + 123};
+  auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+  uint64_t seed = 40;
+  for (const Family& family : families) {
+    for (size_t n : sizes) {
+      Rng rng(seed++);
+      std::vector<ObjectEntry> input;
+      for (size_t i = 0; i < n; ++i) {
+        const double x = family.coordinate(rng);
+        input.push_back({{x, family.coordinate(rng)}, static_cast<int64_t>(i)});
+      }
+      for (double Vec2::*axis : {&Vec2::x, &Vec2::y}) {
+        std::vector<ObjectEntry> expected = input;
+        std::stable_sort(expected.begin(), expected.end(),
+                         [axis](const ObjectEntry& a, const ObjectEntry& b) {
+                           return geom::Mbr::OfPoint(a.position).Center().*axis <
+                                  geom::Mbr::OfPoint(b.position).Center().*axis;
+                         });
+        std::vector<ObjectEntry> actual = input;
+        detail::StableSortByCenter(actual, axis);
+        size_t mismatches = 0;
+        for (size_t i = 0; i < n; ++i) {
+          mismatches += actual[i].id != expected[i].id ||
+                        bits(actual[i].position.x) != bits(expected[i].position.x) ||
+                        bits(actual[i].position.y) != bits(expected[i].position.y);
+        }
+        EXPECT_EQ(mismatches, 0u) << family.name << " n=" << n
+                                  << (axis == &Vec2::x ? " by x" : " by y");
+      }
+    }
   }
 }
 

@@ -73,9 +73,9 @@ cmake --build "${PREFIX}-asan" -j "${JOBS}" --target net_test rpc_test sim_test 
 "${PREFIX}-asan/tests/snnn_oracle_test"
 "${PREFIX}-asan/tests/continuous_diff_test"
 
-stage "UBSan: net + sim + core + storage + geom + obs + ch + continuous test binaries"
+stage "UBSan (with float-cast-overflow): net + sim + core + storage + geom + obs + batch + rtree + ch + continuous test binaries"
 cmake -B "${PREFIX}-ubsan" -S . -DSENN_SANITIZE=undefined -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-cmake --build "${PREFIX}-ubsan" -j "${JOBS}" --target net_test sim_test core_test storage_test geom_test obs_test batch_test ch_test snnn_oracle_test continuous_diff_test
+cmake --build "${PREFIX}-ubsan" -j "${JOBS}" --target net_test sim_test core_test storage_test geom_test obs_test batch_test rtree_test ch_test snnn_oracle_test continuous_diff_test
 "${PREFIX}-ubsan/tests/net_test"
 "${PREFIX}-ubsan/tests/sim_test"
 "${PREFIX}-ubsan/tests/core_test"
@@ -83,6 +83,7 @@ cmake --build "${PREFIX}-ubsan" -j "${JOBS}" --target net_test sim_test core_tes
 "${PREFIX}-ubsan/tests/geom_test"
 "${PREFIX}-ubsan/tests/obs_test"
 "${PREFIX}-ubsan/tests/batch_test"
+"${PREFIX}-ubsan/tests/rtree_test"
 "${PREFIX}-ubsan/tests/ch_test"
 "${PREFIX}-ubsan/tests/snnn_oracle_test"
 "${PREFIX}-ubsan/tests/continuous_diff_test"
